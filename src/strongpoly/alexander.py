@@ -298,6 +298,12 @@ def braid_components(word, strands: int):
     order is stable under relabeling of the braid word.
     """
     _, perm = _braid_action(word, strands)
+    return _closure_components(perm, strands)
+
+
+def _closure_components(perm, strands: int):
+    """(count, component of each strand) for the closure of a permutation
+    of strands 1..strands, numbering components by their smallest strand."""
     comp_of = [None] * (strands + 1)
     count = 0
     for start in range(1, strands + 1):
@@ -321,18 +327,8 @@ def braid_to_presentation(word, strands: int) -> ModulePresentation:
     link's free rank is one less than the free rank seen here.
     """
     images, perm = _braid_action(word, strands)
-    comp_of = [None] * (strands + 1)
-    count = 0
-    for start in range(1, strands + 1):
-        if comp_of[start] is not None:
-            continue
-        j = start
-        while comp_of[j] is None:
-            comp_of[j] = count
-            j = perm[j]
-        count += 1
+    count, var_of_gen = _closure_components(perm, strands)
     ring = Ring(count, laurent=True)
-    var_of_gen = [comp_of[j] for j in range(1, strands + 1)]
     rows = []
     for j in range(1, strands):  # relation for the last strand is dropped
         relator = _free_reduce(images[j] + [-j])

@@ -35,10 +35,12 @@ from .ring import (
     ZZ,
     LaurentPoly,
     Ring,
+    _add_shifted,
+    _div_terms,
+    _mul_terms,
+    _primitive_terms,
     exact_divide,
-    grlex_key,
     laurent_normalize,
-    mono_div,
 )
 from .verdict import Verdict
 
@@ -175,11 +177,6 @@ def _uv_gcd(f, g) -> list:
 # -- GF(p) arithmetic ---------------------------------------------------
 
 
-def _gf_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
 def _gf_mul(f, g, p):
     if not f or not g:
         return []
@@ -188,14 +185,18 @@ def _gf_mul(f, g, p):
         if a:
             for j, b in enumerate(g):
                 out[i + j] = (out[i + j] + a * b) % p
-    return _gf_trim(out)
+    return _uv_trim(out)
 
 def _gf_divmod(f, g, p):
+    """Division with remainder mod p, a prime or a prime power.
+
+    lc(g) must be a unit mod p; pow raises ValueError when it is not.
+    """
     if not g:
         raise ZeroDivisionError
-    inv = pow(g[-1], p - 2, p)
+    inv = pow(g[-1], -1, p)
     rem = [c % p for c in f]
-    _gf_trim(rem)
+    _uv_trim(rem)
     if len(rem) < len(g):
         return [], rem
     out = [0] * (len(rem) - len(g) + 1)
@@ -206,11 +207,11 @@ def _gf_divmod(f, g, p):
         if q:
             for j, b in enumerate(g):
                 rem[k + j] = (rem[k + j] - q * b) % p
-    return _gf_trim(out), _gf_trim(rem)
+    return _uv_trim(out), _uv_trim(rem)
 
 def _gf_gcd(f, g, p):
-    a = _gf_trim([c % p for c in f])
-    b = _gf_trim([c % p for c in g])
+    a = _uv_trim([c % p for c in f])
+    b = _uv_trim([c % p for c in g])
     while b:
         _, r = _gf_divmod(a, b, p)
         a, b = b, r
@@ -220,7 +221,7 @@ def _gf_gcd(f, g, p):
     return a
 
 def _gf_monic(f, p):
-    f = _gf_trim([c % p for c in f])
+    f = _uv_trim([c % p for c in f])
     if not f:
         return f
     inv = pow(f[-1], p - 2, p)
@@ -239,14 +240,14 @@ def _gf_pow_mod(base, e, mod, p):
 
 def _gf_xgcd(f, g, p):
     """(d, s, t) monic d = s*f + t*g over GF(p)."""
-    r0, r1 = _gf_trim([c % p for c in f]), _gf_trim([c % p for c in g])
+    r0, r1 = _uv_trim([c % p for c in f]), _uv_trim([c % p for c in g])
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
         q, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_trim([(a - b) % p for a, b in itertools.zip_longest(s0, _gf_mul(q, s1, p), fillvalue=0)])
-        t0, t1 = t1, _gf_trim([(a - b) % p for a, b in itertools.zip_longest(t0, _gf_mul(q, t1, p), fillvalue=0)])
+        s0, s1 = s1, _uv_trim([(a - b) % p for a, b in itertools.zip_longest(s0, _gf_mul(q, s1, p), fillvalue=0)])
+        t0, t1 = t1, _uv_trim([(a - b) % p for a, b in itertools.zip_longest(t0, _gf_mul(q, t1, p), fillvalue=0)])
     if r0:
         inv = pow(r0[-1], p - 2, p)
         r0 = [c * inv % p for c in r0]
@@ -279,7 +280,7 @@ def _berlekamp(f, p) -> list:
         return [list(f)]
     factors = [list(f)]
     for v in basis:
-        vpoly = _gf_trim(list(v))
+        vpoly = _uv_trim(list(v))
         if _uv_deg(vpoly) < 1:
             continue
         new_factors = []
@@ -292,7 +293,7 @@ def _berlekamp(f, p) -> list:
             for c in range(p):
                 if _uv_deg(rest) < 1:
                     break
-                shifted = _gf_trim([(vpoly[0] - c) % p] + vpoly[1:]) if vpoly else []
+                shifted = _uv_trim([(vpoly[0] - c) % p] + vpoly[1:]) if vpoly else []
                 g = _gf_gcd(rest, shifted, p)
                 if 0 < _uv_deg(g) <= _uv_deg(rest):
                     pieces.append(g)
@@ -347,31 +348,14 @@ def _hensel_step(f, g, h, s, t, m):
     def sym(a):
         return _uv_trim([c - mm if c > mm // 2 else c for c in [x % mm for x in a]])
     e = red(_uv_add(f, _uv_neg(_uv_mul(g, h))))
-    q, r = _uv_divmod_mod(_uv_mul(s, e), h, mm)
+    q, r = _gf_divmod(_uv_mul(s, e), h, mm)
     g1 = red(_uv_add(g, _uv_add(_uv_mul(t, e), _uv_mul(q, g))))
     h1 = red(_uv_add(h, r))
     b = red(_uv_add(_uv_add(_uv_mul(s, g1), _uv_mul(t, h1)), [-1]))
-    c, d = _uv_divmod_mod(_uv_mul(s, b), h1, mm)
+    c, d = _gf_divmod(_uv_mul(s, b), h1, mm)
     s1 = red(_uv_add(s, _uv_neg(d)))
     t1 = red(_uv_add(t, _uv_neg(_uv_add(_uv_mul(t, b), _uv_mul(c, g1)))))
     return sym(g1), sym(h1), sym(s1), sym(t1)
-
-
-def _uv_divmod_mod(f, g, m):
-    """Division with remainder mod m; g must be monic mod m."""
-    rem = [c % m for c in f]
-    _uv_trim(rem)
-    assert g and g[-1] % m == 1, "divisor must be monic"
-    if len(rem) < len(g):
-        return [], rem
-    out = [0] * (len(rem) - len(g) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        q = rem[k + len(g) - 1] % m
-        out[k] = q
-        if q:
-            for j, b in enumerate(g):
-                rem[k + j] = (rem[k + j] - q * b) % m
-    return _uv_trim(out), _uv_trim(rem)
 
 
 def _hensel_lift_tree(f, factors, p, target):
@@ -631,9 +615,9 @@ def _int_factor(n: int) -> list[tuple[int, int]]:
 def _dict_gcd(f: dict, g: dict) -> dict:
     """gcd of integer term dicts, primitive PRS recursion, sign-normalized."""
     if not f:
-        return _gcd_normalize(g)
+        return _primitive_terms(g)
     if not g:
-        return _gcd_normalize(f)
+        return _primitive_terms(f)
     used = set()
     for d in (f, g):
         for m in d:
@@ -654,7 +638,7 @@ def _dict_gcd(f: dict, g: dict) -> dict:
         r = _dict_prem(a, b, v)
         a, b = b, _primitive_in(r, v)
     a = _primitive_in(a, v)
-    return _gcd_normalize(_dict_mul(cont, a))
+    return _primitive_terms(_mul_terms(cont, a))
 
 
 def _deg_in(d: dict, v: int) -> int:
@@ -676,11 +660,12 @@ def _split_content(d: dict, v: int) -> tuple[dict, dict]:
     for e in range(_deg_in(d, v) + 1):
         ce = _coeff_in(d, v, e)
         if ce:
-            cont = _dict_gcd(cont, ce) if cont else _gcd_normalize(ce)
+            cont = _dict_gcd(cont, ce) if cont else _primitive_terms(ce)
             if _is_dict_one(cont):
                 break
-    pp = _dict_exact_div(d, cont)
-    assert pp is not None
+    pp = _div_terms(d, cont)
+    if pp is None:
+        raise RuntimeError("content does not divide its polynomial")
     return cont, pp
 
 
@@ -688,61 +673,19 @@ def _is_dict_one(d: dict) -> bool:
     return len(d) == 1 and next(iter(d.values())) == 1 and not any(next(iter(d)))
 
 
-def _gcd_normalize(d: dict) -> dict:
-    if not d:
-        return {}
-    g = 0
-    for c in d.values():
-        g = math.gcd(g, c)
-    if d[max(d, key=grlex_key)] < 0:
-        g = -g
-    if g == 1:
-        return dict(d)
-    return {m: c // g for m, c in d.items()}
-
-
-def _dict_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            key = tuple(a + b for a, b in zip(m1, m2))
-            s = out.get(key, 0) + c1 * c2
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
 def _dict_prem(f: dict, g: dict, v: int) -> dict:
     """Pseudo-remainder of f by g in the variable v."""
     dg = _deg_in(g, v)
     glc = _coeff_in(g, v, dg)
-    r = dict(f)
+    r = f
     while r and _deg_in(r, v) >= dg:
         dr = _deg_in(r, v)
         rlc = _coeff_in(r, v, dr)
-        shift = [0] * len(next(iter(r)))
-        shift[v] = dr - dg
-        shifted = {tuple(a + b for a, b in zip(m, shift)): c for m, c in g.items()}
-        r = _dict_sub(_dict_mul_flat(r, glc, v), _dict_mul_flat(shifted, rlc, v))
+        # r = glc * r - rlc * x_v^(dr - dg) * g, one term of rlc at a time
+        r = _mul_terms(r, glc)
+        for m, c in rlc.items():
+            _add_shifted(r, g, -c, m[:v] + (dr - dg,) + m[v + 1:])
     return r
-
-
-def _dict_mul_flat(f: dict, g: dict, v: int) -> dict:
-    # g has v-degree 0, so this cannot raise the v-degree of f
-    return _dict_mul(f, g)
-
-
-def _dict_sub(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for m, c in g.items():
-        s = out.get(m, 0) - c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
 
 
 def _primitive_in(d: dict, v: int) -> dict:
@@ -750,31 +693,6 @@ def _primitive_in(d: dict, v: int) -> dict:
         return {}
     _, pp = _split_content(d, v)
     return pp
-
-
-def _dict_exact_div(f: dict, g: dict) -> dict | None:
-    if not f:
-        return {}
-    rem = dict(f)
-    out: dict = {}
-    g_lm = max(g, key=grlex_key)
-    g_lc = g[g_lm]
-    while rem:
-        lm = max(rem, key=grlex_key)
-        lc = rem[lm]
-        if any(a < b for a, b in zip(lm, g_lm)) or lc % g_lc:
-            return None
-        qm = mono_div(lm, g_lm)
-        qc = lc // g_lc
-        out[qm] = qc
-        for m, c in g.items():
-            key = tuple(a + b for a, b in zip(qm, m))
-            s = rem.get(key, 0) - qc * c
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return out
 
 
 def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

@@ -15,19 +15,20 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import ResourceBudgetExceeded
 from .ring import (
     QQ,
     LaurentPoly,
     Ring,
+    _add_shifted,
+    _embed_vars,
+    _primitive_terms,
     grlex_key,
+    laurent_normalize,
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
-
-
-from .errors import ResourceBudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class GroebnerBasis:
 
     ring: Ring
     polys: tuple[LaurentPoly, ...]
-    order: str = "grlex"
     _reducers: tuple = field(default=(), compare=False, repr=False)
 
     def reducers(self):
@@ -84,20 +84,6 @@ class GroebnerBasis:
 # -- integer term-dict plumbing ------------------------------------------
 
 
-def _prim(d: dict) -> dict:
-    """Divide out the integer content and make the leading coefficient > 0."""
-    if not d:
-        return d
-    g = 0
-    for c in d.values():
-        g = math.gcd(g, c)
-    if d[max(d, key=grlex_key)] < 0:
-        g = -g
-    if g == 1:
-        return d
-    return {m: c // g for m, c in d.items()}
-
-
 def _to_int_dict(p: LaurentPoly) -> dict:
     """Clear denominators, returning a primitive integer term dict."""
     terms = p.term_dict()
@@ -106,7 +92,7 @@ def _to_int_dict(p: LaurentPoly) -> dict:
         for c in terms.values():
             den = den * c.denominator // math.gcd(den, c.denominator)
         terms = {m: int(c * den) for m, c in terms.items()}
-    return _prim(dict(terms))
+    return _primitive_terms(terms)
 
 
 def _reducer(d: dict):
@@ -141,15 +127,8 @@ def _normal_form(fdict: dict, reducers) -> dict:
                 f[k] *= a
             for k in rem:
                 rem[k] *= a
-        shift = mono_div(lm, g_lm)
-        for m, c in g_terms.items():
-            key = mono_mul(m, shift)
-            s = f.get(key, 0) - b * c
-            if s:
-                f[key] = s
-            else:
-                f.pop(key, None)
-    return _prim(rem)
+        _add_shifted(f, g_terms, -b, mono_div(lm, g_lm))
+    return _primitive_terms(rem)
 
 
 def _spoly(f: dict, g: dict) -> dict:
@@ -160,17 +139,9 @@ def _spoly(f: dict, g: dict) -> dict:
     af, sf = m // f_lc, mono_div(L, f_lm)
     ag, sg = m // g_lc, mono_div(L, g_lm)
     out: dict = {}
-    for mono, c in f.items():
-        key = mono_mul(mono, sf)
-        out[key] = out.get(key, 0) + af * c
-    for mono, c in g.items():
-        key = mono_mul(mono, sg)
-        s = out.get(key, 0) - ag * c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return {m: c for m, c in out.items() if c}
+    _add_shifted(out, f, af, sf)
+    _add_shifted(out, g, -ag, sg)
+    return out
 
 
 def _interreduce(basis: list[dict]) -> list[dict]:
@@ -192,7 +163,7 @@ def _interreduce(basis: list[dict]) -> list[dict]:
     out = []
     for i, b in enumerate(kept):
         others = [_reducer(o) for j, o in enumerate(kept) if j != i]
-        reduced = _normal_form(b, others) if others else _prim(dict(b))
+        reduced = _normal_form(b, others) if others else _primitive_terms(b)
         if reduced:
             out.append(reduced)
     out.sort(key=lambda d: grlex_key(max(d, key=grlex_key)))
@@ -294,11 +265,6 @@ def ideal_member(f: LaurentPoly, G: GroebnerBasis) -> bool:
     return normal_form(f, G).is_zero()
 
 
-def _embed(d: dict, extra: int) -> dict:
-    pad = (0,) * extra
-    return {m + pad: c for m, c in d.items()}
-
-
 def radical_member(
     f: LaurentPoly,
     I: IdealBasis,
@@ -313,15 +279,11 @@ def radical_member(
         raise ValueError("variable count mismatch")
     n = I.ring.nvars
     ext = Ring(n + 1, False, QQ)
-    gens = [LaurentPoly(ext, _embed(_to_int_dict(g), 1)) for g in I.generators]
-    fd = _embed(_to_int_dict(f), 1)
-    aux = {m[:n] + (m[n] + 1,): -c for m, c in fd.items()}
-    one = (0,) * (n + 1)
-    aux[one] = aux.get(one, 0) + 1
-    if not any(aux.values()):
-        aux = {}
+    gens = [_embed_vars(g, range(n), n + 1).to_domain(QQ) for g in I.generators]
+    aux = {m + (1,): -c for m, c in _to_int_dict(f).items()}
+    aux[(0,) * (n + 1)] = 1
     gens.append(LaurentPoly(ext, aux))
-    G = buchberger(IdealBasis(ext, tuple(g for g in gens if not g.is_zero())), options)
+    G = buchberger(IdealBasis(ext, tuple(gens)), options)
     return G.is_unit_ideal()
 
 
@@ -372,8 +334,6 @@ def laurent_member(f: LaurentPoly, gens: list[LaurentPoly]) -> bool:
     with one auxiliary variable u, f lies in the Laurent ideal iff f lies
     in <normalized gens, 1 - u*x1*...*xn> as an ordinary ideal.
     """
-    from .ring import laurent_normalize
-
     if f.is_zero():
         return True
     n = f.ring.nvars
@@ -389,38 +349,9 @@ def laurent_member(f: LaurentPoly, gens: list[LaurentPoly]) -> bool:
     if not norm_gens:
         return False
     ext = Ring(n + 1, False, QQ)
-    ideal_gens = [LaurentPoly(ext, _embed(_to_int_dict(g), 1)) for g in norm_gens]
+    ideal_gens = [_embed_vars(g, range(n), n + 1).to_domain(QQ) for g in norm_gens]
     sat = {(0,) * (n + 1): 1, (1,) * (n + 1): -1}
     ideal_gens.append(LaurentPoly(ext, sat))
     G = buchberger(IdealBasis(ext, tuple(ideal_gens)))
-    return ideal_member(LaurentPoly(ext, _embed(_to_int_dict(fq), 1)), G)
+    return ideal_member(_embed_vars(fq, range(n), n + 1).to_domain(QQ), G)
 
-
-def linear_rank(polys, nvars: int) -> int:
-    """Exact rank of a system of linear forms, by Fraction elimination."""
-    rows = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        if p.total_degree() != 1 or not p.is_homogeneous():
-            raise ValueError("linear_rank expects homogeneous linear forms")
-        row = [Fraction(0)] * nvars
-        for m, c in p.term_dict().items():
-            row[m.index(1)] = Fraction(c)
-        rows.append(row)
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < nvars:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank

@@ -15,22 +15,13 @@ inside verification, where the combination identity is replayed exactly.
 from dataclasses import dataclass
 
 from .factor import coprime, is_irreducible
-from .ring import LaurentPoly, Ring, ZZ
+from .ring import LaurentPoly, Ring, ZZ, _embed_vars
 from .strongcheck import DEFAULT_STRONG_OPTIONS, StrongIrredOptions, check_strongly_coprime
 from .verdict import PROVED, Verdict, proved, refuted, undecided
 
 # Deterministic catalog of monomial units tried when a crossing witness
 # shares a factor with some prime: 1 first, then powers of each variable.
 MAX_UNIT_SHIFT = 8
-
-
-def _embed(q: LaurentPoly, ring: Ring) -> LaurentPoly:
-    """Widen q into a ring with more variables, variable i staying i."""
-    if q.ring.nvars > ring.nvars:
-        raise ValueError("candidate uses more variables than the ambient ring")
-    pad = ring.nvars - q.ring.nvars
-    terms = {mono + (0,) * pad: c for mono, c in q.term_dict().items()}
-    return LaurentPoly(ring, terms)
 
 
 @dataclass(frozen=True)
@@ -78,11 +69,13 @@ def divisor_set_member(
     when some factor is refuted (p itself, for instance); UNDECIDED is
     inherited from the first factor the coprimality check cannot settle.
     """
-    ring = query.p.ring.laurent_version()
     p = query.p.to_laurent()
+    n = p.ring.nvars
     factor_rules = []
     for idx, (q, _images) in enumerate(query.candidate):
-        emb = _embed(q.to_laurent(), ring)
+        if q.ring.nvars > n:
+            raise ValueError("candidate uses more variables than the ambient ring")
+        emb = _embed_vars(q.to_laurent(), range(q.ring.nvars), n).to_domain(ZZ)
         sub = check_strongly_coprime(p, emb, options)
         if sub.is_refuted:
             return refuted(

@@ -45,9 +45,6 @@ class Ring:
     def ordinary_version(self) -> "Ring":
         return Ring(self.nvars, False, self.domain)
 
-    def with_nvars(self, n: int) -> "Ring":
-        return Ring(n, self.laurent, self.domain)
-
     def coerce(self, c):
         """Coerce a coefficient into the domain, rejecting lossy input."""
         if self.domain == ZZ:
@@ -80,13 +77,83 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def grlex_key(m: Monomial):
     """Sort key for graded lex: total degree, then exponent vector."""
     return (sum(m), m)
+
+
+# -- sparse term kernel ----------------------------------------------------
+#
+# Term dicts map exponent tuples to nonzero coefficients.  Every sparse
+# product, exact division, shifted update and content strip in the package
+# runs through the helpers below.
+
+
+def _mul_terms(f: dict, g: dict) -> dict:
+    """Product of two term dicts."""
+    out: dict = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+def _add_shifted(acc: dict, terms: dict, c, shift: Monomial) -> None:
+    """acc += c * x^shift * terms, in place, dropping zero coefficients."""
+    for m, v in terms.items():
+        key = tuple(a + b for a, b in zip(m, shift))
+        s = acc.get(key, 0) + c * v
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+
+
+def _div_terms(f: dict, g: dict, domain: str = ZZ) -> dict | None:
+    """f / g for ordinary term dicts when the division is exact, else None.
+
+    Long division by grlex leading terms; exactness forces progress.  Over
+    ZZ every coefficient division must be exact.
+    """
+    rem = dict(f)
+    out: dict = {}
+    g_lm = max(g, key=grlex_key)
+    g_lc = g[g_lm]
+    while rem:
+        lm = max(rem, key=grlex_key)
+        lc = rem[lm]
+        if not mono_divides(g_lm, lm):
+            return None
+        if domain == ZZ:
+            if lc % g_lc:
+                return None
+            qc = lc // g_lc
+        else:
+            qc = lc / g_lc
+        qm = mono_div(lm, g_lm)
+        out[qm] = qc
+        _add_shifted(rem, g, -qc, qm)
+    return out
+
+
+def _primitive_terms(d: dict) -> dict:
+    """Integer term dict over its content, with a positive grlex-leading
+    coefficient; d itself when there is nothing to divide out."""
+    if not d:
+        return d
+    g = 0
+    for c in d.values():
+        g = math.gcd(g, c)
+    if d[max(d, key=grlex_key)] < 0:
+        g = -g
+    if g == 1:
+        return d
+    return {m: c // g for m, c in d.items()}
 
 
 class LaurentPoly:
@@ -264,16 +331,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         self._check_ring(other)
-        out: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return LaurentPoly(self.ring, out)
+        return LaurentPoly(self.ring, _mul_terms(self._terms, other._terms))
 
     def __pow__(self, e: int) -> "LaurentPoly":
         if not isinstance(e, int):
@@ -537,6 +595,12 @@ def monomial_substitute(
     return LaurentPoly(Ring(nvars_out, laurent, p.ring.domain), out)
 
 
+def _embed_vars(p: LaurentPoly, positions: Iterable[int], nvars_out: int) -> LaurentPoly:
+    """p in nvars_out variables, its variable i renamed to positions[i]."""
+    units = [tuple(int(j == v) for j in range(nvars_out)) for v in positions]
+    return monomial_substitute(p, units, nvars_out)
+
+
 def laurent_normalize(p: LaurentPoly) -> tuple[LaurentPoly, Monomial]:
     """Split p = q * x^u with q ordinary and no variable dividing q.
 
@@ -566,39 +630,15 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
     if f.is_zero():
         return LaurentPoly.zero(ring)
     if ring.laurent:
-        fq, fu = laurent_normalize(f)
-        gq, gu = laurent_normalize(g)
-        q = exact_divide(fq, gq)
-        if q is None:
-            return None
-        return LaurentPoly(ring, q.term_dict()).mul_monomial(mono_div(fu, gu))
-    # ordinary long division by leading terms; exactness forces progress
-    rem = f.term_dict()
-    out: dict = {}
-    g_terms = g.term_dict()
-    g_lm = g.leading_monomial()
-    g_lc = g_terms[g_lm]
-    while rem:
-        lm = max(rem, key=grlex_key)
-        lc = rem[lm]
-        if not mono_divides(g_lm, lm):
-            return None
-        if ring.domain == ZZ:
-            if lc % g_lc:
-                return None
-            qc = lc // g_lc
-        else:
-            qc = lc / g_lc
-        qm = mono_div(lm, g_lm)
-        out[qm] = qc
-        for m, c in g_terms.items():
-            key = mono_mul(qm, m)
-            s = rem.get(key, 0) - qc * c
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return LaurentPoly(ring, out)
+        f, fu = laurent_normalize(f)
+        g, gu = laurent_normalize(g)
+    q = _div_terms(f._terms, g._terms, ring.domain)
+    if q is None:
+        return None
+    if ring.laurent:
+        shift = mono_div(fu, gu)
+        q = {mono_mul(m, shift): c for m, c in q.items()}
+    return LaurentPoly(ring, q)
 
 
 def divides(g: LaurentPoly, f: LaurentPoly) -> bool:

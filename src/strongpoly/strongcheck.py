@@ -49,6 +49,7 @@ from .ring import (
     HomogPoly,
     LaurentPoly,
     Ring,
+    _embed_vars,
     homogenize,
     laurent_normalize,
     monomial_substitute,
@@ -69,7 +70,6 @@ class StrongIrredOptions:
     uniform_max: int = 6
     box_max: int = 4
     max_box_candidates: int = 256
-    method: str = "finiteness"
     gb: GBOptions = field(default_factory=lambda: DEFAULT_GB_OPTIONS)
     factor: FactorOptions = field(default_factory=lambda: DEFAULT_FACTOR_OPTIONS)
     coprime_catalog_cap: int = 40
@@ -124,20 +124,10 @@ def _compress(p: LaurentPoly) -> tuple[LaurentPoly, tuple[int, ...]]:
     return LaurentPoly(ring, out), used
 
 
-def _expand(p: LaurentPoly, used: tuple[int, ...], ring: Ring) -> LaurentPoly:
-    out = {}
-    for m, c in p.term_dict().items():
-        full = [0] * ring.nvars
-        for e, v in zip(m, used):
-            full[v] = e
-        out[tuple(full)] = c
-    return LaurentPoly(ring, out)
-
-
 def _criterion_holds(q: LaurentPoly, options: StrongIrredOptions) -> bool:
     """True when the singular-locus system of homogenize(q) is trivial."""
     system = criterion_system(homogenize(q))
-    return only_trivial_solution(system, method=options.method, options=options.gb)
+    return only_trivial_solution(system, options=options.gb)
 
 
 def check_strongly_irreducible(
@@ -219,7 +209,7 @@ def _ambient_factors(
     out = []
     for f in factors:
         if used:
-            g = _expand(f, used, Ring(ring.nvars, f.ring.laurent, ring.domain))
+            g = _embed_vars(f, used, ring.nvars)
         else:
             g = LaurentPoly(
                 Ring(ring.nvars, False, ring.domain),
@@ -457,9 +447,7 @@ def genericity_sample(
             }
         P = HomogPoly(LaurentPoly(ring, terms), degree)
         try:
-            if only_trivial_solution(
-                criterion_system(P), method="finiteness", options=gb_options
-            ):
+            if only_trivial_solution(criterion_system(P), options=gb_options):
                 passes += 1
         except ResourceBudgetExceeded:
             pass

@@ -17,7 +17,6 @@ UNDECIDED = "UNDECIDED"
 #: certifying-rule vocabulary used by PROVED verdicts
 RULES = (
     "criterion",        # homogeneous singular-locus criterion, Groebner route
-    "linear-rank",      # exact column-rank of a linear singular-locus system
     "degree-1",         # primitive total-degree-1 polynomials are irreducible
     "univariate",       # complete univariate factorization found one factor
     "specialization",   # degree-preserving specialization stayed irreducible
@@ -39,8 +38,8 @@ class Verdict:
     def __post_init__(self):
         if self.status not in (PROVED, REFUTED, UNDECIDED):
             raise ValueError(f"bad status {self.status!r}")
-        if self.status == PROVED and not self.rule:
-            raise ValueError("PROVED needs a certifying rule")
+        if self.status == PROVED and self.rule not in RULES:
+            raise ValueError(f"PROVED needs a certifying rule from RULES, got {self.rule!r}")
         if self.status == REFUTED and self.witness is None:
             raise ValueError("REFUTED needs a witness")
         if self.status == UNDECIDED and not self.reason:

@@ -14,7 +14,7 @@ from strongpoly import (
     laurent_member,
     only_trivial_solution,
 )
-from strongpoly.groebner import ideal_member, linear_rank, radical_member
+from strongpoly.groebner import ideal_member, radical_member
 
 from conftest import nonzero_poly_st
 
@@ -160,17 +160,3 @@ class TestOnlyTrivialSolution:
         with pytest.raises(ValueError):
             only_trivial_solution(I, method="guess")
 
-
-class TestLinearRank:
-    def test_rank_golden(self):
-        R2 = Ring(2, False, QQ)
-        x1 = LaurentPoly(R2, {(1, 0): 1})
-        x2 = LaurentPoly(R2, {(0, 1): 1})
-        assert linear_rank([x1 + x2, (x1 + x2).scale(2)], 2) == 1
-        assert linear_rank([x1 + x2, x1 - x2], 2) == 2
-        assert linear_rank([], 2) == 0
-
-    def test_rejects_nonlinear(self):
-        R2 = Ring(2, False, QQ)
-        with pytest.raises(ValueError):
-            linear_rank([LaurentPoly(R2, {(2, 0): 1})], 2)

@@ -14,6 +14,7 @@ from strongpoly import (
     Ring,
     StrongIrredOptions,
     UNDECIDED,
+    Verdict,
     ZZ,
     check_strongly_coprime,
     check_strongly_irreducible,
@@ -209,3 +210,9 @@ class TestOptions:
         assert full.status == REFUTED
         tiny = check_strongly_irreducible(p, StrongIrredOptions(uniform_max=1, box_max=1))
         assert tiny.status in (REFUTED, UNDECIDED)
+
+
+class TestVerdict:
+    def test_proved_rule_outside_vocabulary_rejected(self):
+        with pytest.raises(ValueError):
+            Verdict(PROVED, rule="linear-rank")
