@@ -4,7 +4,7 @@ Every subcommand maps to exactly one library operation.  Text output is
 deterministic for fixed inputs and seeds; timing appears only in the JSON
 report, in its own field, so byte comparisons can drop it.  Exit codes:
 0 proved/success, 1 refuted, 2 undecided, 3 input error, 4 resource
-budget exceeded.
+budget exceeded, 5 internal error.
 """
 
 import argparse
@@ -453,6 +453,10 @@ def main(argv=None) -> int:
     except ResourceBudgetExceeded as e:
         print(f"resource budget exceeded: {e}", file=sys.stderr)
         return 4
+    except Exception as e:
+        # a failed internal check must not exit 1, which reads as REFUTED
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 5
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if getattr(args, "json", False):
         report = {"command": args.subcommand, "exit_code": code, "timing_ms": round(elapsed_ms, 3)}

@@ -413,7 +413,16 @@ def _pick_prime(f) -> int:
         while not _is_prime(cand):
             cand += 2
 
+# Miller-Rabin with the prime bases 2..37 is a proof of primality below
+# this bound (Sorenson & Webster 2015); above it a pass is only probable.
+MR_CERTIFIED_BELOW = 3_317_044_064_679_887_385_961_981
+# trial divisors _int_factor tries before it turns to _is_prime
+MAX_TRIAL_DIVISORS = 1_000_000
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime; raises ResourceBudgetExceeded when n passes
+    every base but lies at or above MR_CERTIFIED_BELOW."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
@@ -433,6 +442,10 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MR_CERTIFIED_BELOW:
+        raise ResourceBudgetExceeded(
+            "int-factor", f"cannot certify the probable prime {n} with deterministic bases"
+        )
     return True
 
 
@@ -594,9 +607,21 @@ def univariate_factor(p: LaurentPoly, options: FactorOptions = DEFAULT_OPTIONS) 
 
 
 def _int_factor(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 by trial division.
+
+    After MAX_TRIAL_DIVISORS divisors a cofactor that is still unsplit must
+    be certified prime by _is_prime; otherwise ResourceBudgetExceeded.
+    """
     out = []
     d = 2
     while d * d <= n:
+        if d > MAX_TRIAL_DIVISORS:
+            if not _is_prime(n):
+                raise ResourceBudgetExceeded(
+                    "int-factor",
+                    f"no factor of {n} below the trial-division budget {MAX_TRIAL_DIVISORS}",
+                )
+            break
         if n % d == 0:
             m = 0
             while n % d == 0:

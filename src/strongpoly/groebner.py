@@ -96,21 +96,29 @@ def _to_int_dict(p: LaurentPoly) -> dict:
 
 
 def _reducer(d: dict):
+    """(leading monomial, leading coefficient, terms) of a nonzero dict."""
     lm = max(d, key=grlex_key)
     return (lm, d[lm], d)
 
 
 def _normal_form(fdict: dict, reducers) -> dict:
-    """Full normal form by pseudo-reduction; result is primitive."""
+    """Full normal form by pseudo-reduction; result is primitive.
+
+    The first reducer (in list order) whose lead divides the current lead
+    is used; a reducer of higher lead degree cannot divide, so it is
+    skipped before the componentwise test.
+    """
+    by_degree = [(sum(r[0]), r) for r in reducers]
     f = dict(fdict)
     rem: dict = {}
     while f:
         lm = max(f, key=grlex_key)
         lc = f[lm]
+        deg = sum(lm)
         hit = None
-        for g_lm, g_lc, g_terms in reducers:
-            if mono_divides(g_lm, lm):
-                hit = (g_lm, g_lc, g_terms)
+        for g_deg, r in by_degree:
+            if g_deg <= deg and mono_divides(r[0], lm):
+                hit = r
                 break
         if hit is None:
             rem[lm] = lc
@@ -131,42 +139,41 @@ def _normal_form(fdict: dict, reducers) -> dict:
     return _primitive_terms(rem)
 
 
-def _spoly(f: dict, g: dict) -> dict:
-    f_lm, f_lc, _ = _reducer(f)
-    g_lm, g_lc, _ = _reducer(g)
+def _spoly(f, g) -> dict:
+    """S-polynomial of two reducer triples, integer-scaled."""
+    f_lm, f_lc, f_terms = f
+    g_lm, g_lc, g_terms = g
     L = mono_lcm(f_lm, g_lm)
     m = abs(f_lc * g_lc) // math.gcd(f_lc, g_lc)
-    af, sf = m // f_lc, mono_div(L, f_lm)
-    ag, sg = m // g_lc, mono_div(L, g_lm)
     out: dict = {}
-    _add_shifted(out, f, af, sf)
-    _add_shifted(out, g, -ag, sg)
+    _add_shifted(out, f_terms, m // f_lc, mono_div(L, f_lm))
+    _add_shifted(out, g_terms, -(m // g_lc), mono_div(L, g_lm))
     return out
 
 
-def _interreduce(basis: list[dict]) -> list[dict]:
+def _interreduce(reducers: list) -> list:
+    """Reduced basis from the reducer triples of a Groebner basis, as
+    reducer triples sorted by leading monomial."""
     # drop elements whose leading monomial another one divides
-    kept: list[dict] = []
-    lms = [max(b, key=grlex_key) for b in basis]
-    for i, b in enumerate(basis):
-        lm = lms[i]
+    kept = []
+    for i, (lm, _, _) in enumerate(reducers):
         redundant = False
-        for j, other_lm in enumerate(lms):
+        for j, (other_lm, _, _) in enumerate(reducers):
             if i == j:
                 continue
             if mono_divides(other_lm, lm) and (other_lm != lm or j < i):
                 redundant = True
                 break
         if not redundant:
-            kept.append(b)
-    # tail-reduce every survivor against the others
+            kept.append(reducers[i])
+    # tail-reduce every survivor against the others; leads stay put
     out = []
-    for i, b in enumerate(kept):
-        others = [_reducer(o) for j, o in enumerate(kept) if j != i]
-        reduced = _normal_form(b, others) if others else _primitive_terms(b)
+    for i, (_, _, terms) in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
+        reduced = _normal_form(terms, others) if others else _primitive_terms(terms)
         if reduced:
-            out.append(reduced)
-    out.sort(key=lambda d: grlex_key(max(d, key=grlex_key)))
+            out.append(_reducer(reduced))
+    out.sort(key=lambda r: grlex_key(r[0]))
     return out
 
 
@@ -178,21 +185,20 @@ def buchberger(I: IdealBasis, options: GBOptions = DEFAULT_OPTIONS) -> GroebnerB
     (reduced bases are unique), which regression tests rely on.
     """
     ring = Ring(I.ring.nvars, False, QQ)
-    basis = [d for d in (_to_int_dict(g) for g in I.generators) if d]
-    if not basis:
+    # one (lm, lc, terms) triple per basis element; elements never change
+    reducers = [_reducer(d) for d in (_to_int_dict(g) for g in I.generators) if d]
+    if not reducers:
         return GroebnerBasis(ring, (), _reducers=())
 
     pairs: list = []
     handled: set[tuple[int, int]] = set()
 
     def push_pair(i: int, j: int):
-        lm_i = max(basis[i], key=grlex_key)
-        lm_j = max(basis[j], key=grlex_key)
-        L = mono_lcm(lm_i, lm_j)
+        L = mono_lcm(reducers[i][0], reducers[j][0])
         heapq.heappush(pairs, (grlex_key(L), i, j, L))
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
+    for i in range(len(reducers)):
+        for j in range(i + 1, len(reducers)):
             push_pair(i, j)
 
     popped = 0
@@ -204,19 +210,14 @@ def buchberger(I: IdealBasis, options: GBOptions = DEFAULT_OPTIONS) -> GroebnerB
             raise ResourceBudgetExceeded(
                 "gb-pairs", f"S-pair budget {options.max_pairs} exceeded"
             )
-        lm_i = max(basis[i], key=grlex_key)
-        lm_j = max(basis[j], key=grlex_key)
-        if mono_lcm(lm_i, lm_j) != L:
-            continue
         # coprime-leads criterion
-        if all(min(a, b) == 0 for a, b in zip(lm_i, lm_j)):
+        if all(min(a, b) == 0 for a, b in zip(reducers[i][0], reducers[j][0])):
             continue
         # chain criterion
         skip = False
-        for k in range(len(basis)):
+        for k, (lm_k, _, _) in enumerate(reducers):
             if k in (i, j):
                 continue
-            lm_k = max(basis[k], key=grlex_key)
             if mono_divides(lm_k, L):
                 p1 = (min(i, k), max(i, k))
                 p2 = (min(j, k), max(j, k))
@@ -225,30 +226,28 @@ def buchberger(I: IdealBasis, options: GBOptions = DEFAULT_OPTIONS) -> GroebnerB
                     break
         if skip:
             continue
-        reducers = [_reducer(b) for b in basis]
-        r = _normal_form(_spoly(basis[i], basis[j]), reducers)
+        r = _normal_form(_spoly(reducers[i], reducers[j]), reducers)
         if not r:
             continue
-        basis.append(r)
-        if len(basis) > options.max_basis:
+        reducers.append(_reducer(r))
+        if len(reducers) > options.max_basis:
             raise ResourceBudgetExceeded(
                 "gb-basis", f"basis size budget {options.max_basis} exceeded"
             )
-        new = len(basis) - 1
+        new = len(reducers) - 1
         for k in range(new):
             push_pair(k, new)
 
-    reduced = _interreduce(basis)
-    polys = []
-    for d in reduced:
-        lc = d[max(d, key=grlex_key)]
-        polys.append(LaurentPoly(ring, {m: Fraction(c, lc) for m, c in d.items()}))
-    reducers = tuple(_reducer(d) for d in reduced)
+    reduced = tuple(_interreduce(reducers))
+    polys = tuple(
+        LaurentPoly(ring, {m: Fraction(c, lc) for m, c in terms.items()})
+        for _, lc, terms in reduced
+    )
     # sanity: every input generator must reduce to zero against the output
     for g in I.generators:
-        if _normal_form(_to_int_dict(g), reducers):
+        if _normal_form(_to_int_dict(g), reduced):
             raise AssertionError("input generator does not reduce to zero")
-    return GroebnerBasis(ring, tuple(polys), _reducers=reducers)
+    return GroebnerBasis(ring, polys, _reducers=reduced)
 
 
 def normal_form(f: LaurentPoly, G: GroebnerBasis) -> LaurentPoly:

@@ -37,6 +37,11 @@ class _Token:
     col: int
 
 
+# Deepest parenthesis nesting the recursive-descent parser accepts; each
+# level costs three Python frames, so this stays far below the
+# interpreter's recursion limit.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"\d+|x\d+|[+\-*/^()]|\S")
 
 
@@ -71,6 +76,7 @@ class _PolyParser:
         self.pos = 0
         self.laurent = laurent
         self.max_var = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -184,7 +190,13 @@ class _PolyParser:
             return {mono: Fraction(1)}
         if t.kind == "OP" and t.text == "(":
             self.take()
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", t.line, t.col
+                )
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect_op(")")
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "^":

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Iterator
 
 ZZ = "ZZ"
@@ -65,16 +66,16 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """a | b in the ordinary sense (componentwise <=)."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def grlex_key(m: Monomial):
@@ -106,7 +107,7 @@ def _mul_terms(f: dict, g: dict) -> dict:
 def _add_shifted(acc: dict, terms: dict, c, shift: Monomial) -> None:
     """acc += c * x^shift * terms, in place, dropping zero coefficients."""
     for m, v in terms.items():
-        key = tuple(a + b for a, b in zip(m, shift))
+        key = tuple(map(add, m, shift))
         s = acc.get(key, 0) + c * v
         if s:
             acc[key] = s

@@ -13,11 +13,13 @@ from strongpoly import (
     PROVED,
     REFUTED,
     Ring,
+    ResourceBudgetExceeded,
     ZZ,
     coprime,
     is_irreducible,
     poly_gcd,
 )
+from strongpoly import factor
 from strongpoly.factor import univariate_factor
 
 from conftest import mk, nonzero_poly_st
@@ -64,6 +66,27 @@ class TestUnivariate:
         assert is_irreducible(mk(1, {(0,): -3})).rule == "constant-prime"
         reassembles(mk(1, {(0,): 6}), is_irreducible(mk(1, {(0,): 6})))
         reassembles(mk(1, {(0,): -4}), is_irreducible(mk(1, {(0,): -4})))
+
+    def test_constant_factoring_is_budgeted(self, monkeypatch):
+        monkeypatch.setattr(factor, "MAX_TRIAL_DIVISORS", 100)
+        # 101 * 103: no factor below the budget, certainly composite
+        with pytest.raises(ResourceBudgetExceeded):
+            is_irreducible(mk(1, {(0,): 101 * 103}))
+        # a large prime cofactor is certified by Miller-Rabin
+        p = 1000000000039
+        assert factor._int_factor(12 * p) == [(2, 2), (3, 1), (p, 1)]
+        assert is_irreducible(mk(1, {(0,): p})).rule == "constant-prime"
+
+    def test_probable_primes_at_the_bound_are_not_certified(self):
+        # the bound is the least strong pseudoprime to all twelve bases:
+        # 1287836182261 * 2575672364521 passes every round
+        assert factor.MR_CERTIFIED_BELOW == 1287836182261 * 2575672364521
+        with pytest.raises(ResourceBudgetExceeded):
+            factor._is_prime(factor.MR_CERTIFIED_BELOW)
+        with pytest.raises(ResourceBudgetExceeded):
+            factor._is_prime(10**30 + 57)
+        assert factor._is_prime(100000000000000000039)
+        assert not factor._is_prime(1000003 * 1000033)
 
     def test_units_and_zero_rejected(self):
         with pytest.raises(ValueError):

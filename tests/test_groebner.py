@@ -1,7 +1,8 @@
 """Buchberger engine: reduced bases, membership, radicals, trivial-zero test."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from strongpoly import (
     GBOptions,
@@ -27,6 +28,15 @@ def basis(ring, *term_dicts):
 
 def text_basis(G):
     return sorted(g.to_text() for g in G.polys)
+
+
+def budget_ideal():
+    return basis(
+        Q3,
+        {(2, 1, 0): 1, (0, 0, 2): -1},
+        {(1, 2, 0): 1, (0, 0, 1): -3},
+        {(0, 3, 1): 1, (1, 0, 0): 5},
+    )
 
 
 class TestBuchberger:
@@ -62,14 +72,51 @@ class TestBuchberger:
         assert text_basis(buchberger(basis(Q3, *reversed(gens)))) == ref
 
     def test_pair_budget_enforced(self):
-        I = basis(
-            Q3,
-            {(2, 1, 0): 1, (0, 0, 2): -1},
-            {(1, 2, 0): 1, (0, 0, 1): -3},
-            {(0, 3, 1): 1, (1, 0, 0): 5},
-        )
         with pytest.raises(ResourceBudgetExceeded):
-            buchberger(I, GBOptions(max_pairs=1))
+            buchberger(budget_ideal(), GBOptions(max_pairs=1))
+
+    def test_pair_budget_trip_point(self):
+        # pins the S-pair sequence that --gb-steps counts: 21 pops, no fewer
+        with pytest.raises(ResourceBudgetExceeded):
+            buchberger(budget_ideal(), GBOptions(max_pairs=20))
+        G = buchberger(budget_ideal(), GBOptions(max_pairs=21))
+        assert text_basis(G) == [
+            "x1*x2^2 - 3*x3",
+            "x1*x3",
+            "x1^2",
+            "x2^3*x3 + 5*x1",
+            "x3^2",
+        ]
+
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda n: st.lists(
+                nonzero_poly_st(nvars=n, max_exp=2, max_terms=3), min_size=1, max_size=3
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_output_is_a_reduced_groebner_certificate(self, gens):
+        gens = [g.to_domain(QQ) for g in gens]
+        try:
+            G = buchberger(IdealBasis.from_polys(gens))
+        except ResourceBudgetExceeded:
+            assume(False)
+        leads = [g.leading_monomial() for g in G.polys]
+        for g in G.polys:
+            assert g.leading_coefficient() == 1
+        for i, a in enumerate(leads):
+            for j, b in enumerate(leads):
+                assert i == j or not all(x <= y for x, y in zip(a, b))
+        for g in gens:
+            assert ideal_member(g, G)
+        for i, f in enumerate(G.polys):
+            for g in G.polys[i + 1:]:
+                L = tuple(map(max, f.leading_monomial(), g.leading_monomial()))
+                s = f.mul_monomial(
+                    [x - y for x, y in zip(L, f.leading_monomial())]
+                ) - g.mul_monomial([x - y for x, y in zip(L, g.leading_monomial())])
+                assert ideal_member(s, G)
 
 
 class TestMembership:

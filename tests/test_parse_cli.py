@@ -20,6 +20,7 @@ from strongpoly import (
     parse_matrix_json,
     parse_polynomial,
 )
+from strongpoly import cli
 from strongpoly.parse import parse_exponent_pairs
 
 from conftest import mk, nonzero_poly_st
@@ -119,12 +120,13 @@ class TestMatrixJson:
             parse_matrix_json({"matrix": [["1"]]})
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "strongpoly.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -170,6 +172,32 @@ class TestExitCodes:
         proc = run_cli("elementary-ideal", "--k", "8", "--stdin", stdin=matrix)
         assert proc.returncode == 4
         assert "resource budget" in proc.stderr
+
+    def test_uncertifiable_prime_constant_is_four(self):
+        # above the deterministic Miller-Rabin bound trial division used to hang
+        proc = run_cli("check-irred", "1000000000000000000000000000057", timeout=10)
+        assert proc.returncode == 4
+        assert "resource budget" in proc.stderr
+
+    def test_prime_constant_below_the_bound_is_proved(self):
+        proc = run_cli("check-irred", "100000000000000000039")
+        assert proc.returncode == 0
+        assert "rule: constant-prime" in proc.stdout
+
+    def test_deep_nesting_is_three(self, capsys):
+        text = "(" * 3000 + "x1" + ")" * 3000
+        assert cli.main(["check-irred", text]) == 3
+        assert "nested deeper" in capsys.readouterr().err
+
+    def test_internal_error_is_five(self, monkeypatch, capsys):
+        def broken(args):
+            raise AssertionError("input generator does not reduce to zero")
+
+        monkeypatch.setattr(cli, "_cmd_check_irred", broken)
+        assert cli.main(["check-irred", "x1 + 1"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ")
+        assert "does not reduce to zero" in err
 
 
 class TestReports:
