@@ -68,18 +68,25 @@ class TestUnivariate:
         reassembles(mk(1, {(0,): -4}), is_irreducible(mk(1, {(0,): -4})))
 
     def test_constant_factoring_is_budgeted(self, monkeypatch):
-        monkeypatch.setattr(factor, "MAX_TRIAL_DIVISORS", 100)
-        # 101 * 103: no factor below the budget, certainly composite
-        with pytest.raises(ResourceBudgetExceeded):
-            is_irreducible(mk(1, {(0,): 101 * 103}))
+        # both prime factors lie above the trial divisors: rho splits them
+        n = 1000003 * 1000033
+        assert factor._int_factor(n) == [(1000003, 1), (1000033, 1)]
+        assert factor._int_factor(4 * 1000003**2 * 1000033) == [
+            (2, 2), (1000003, 2), (1000033, 1)
+        ]
+        assert is_irreducible(mk(1, {(0,): n})).status == REFUTED
         # a large prime cofactor is certified by Miller-Rabin
         p = 1000000000039
         assert factor._int_factor(12 * p) == [(2, 2), (3, 1), (p, 1)]
         assert is_irreducible(mk(1, {(0,): p})).rule == "constant-prime"
+        # with too few rho steps the split is given up, never guessed
+        monkeypatch.setattr(factor, "MAX_RHO_STEPS", 100)
+        with pytest.raises(ResourceBudgetExceeded):
+            is_irreducible(mk(1, {(0,): n}))
 
     def test_probable_primes_at_the_bound_are_not_certified(self):
-        # the bound is the least strong pseudoprime to all twelve bases:
-        # 1287836182261 * 2575672364521 passes every round
+        # the bound is the least strong pseudoprime to all thirteen bases
+        # 2..41: 1287836182261 * 2575672364521 passes every round
         assert factor.MR_CERTIFIED_BELOW == 1287836182261 * 2575672364521
         with pytest.raises(ResourceBudgetExceeded):
             factor._is_prime(factor.MR_CERTIFIED_BELOW)
@@ -87,6 +94,24 @@ class TestUnivariate:
             factor._is_prime(10**30 + 57)
         assert factor._is_prime(100000000000000000039)
         assert not factor._is_prime(1000003 * 1000033)
+
+    def test_pseudoprime_to_bases_up_to_37_is_composite(self):
+        # 399165290221 * 798330580441 is a strong pseudoprime to every
+        # base 2..37, so only base 41 exposes it
+        n = 318665857834031151167461
+        assert not factor._is_prime(n)
+        assert factor._int_factor(n) == [(399165290221, 1), (798330580441, 1)]
+
+    def test_bases_are_prime(self):
+        assert [q for q in range(50) if factor._is_prime(q)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47
+        ]
+
+    def test_non_unit_leading_coefficient_is_internal(self):
+        # Hensel lifting never divides by a non-unit; if it did, the CLI
+        # must report an internal error (exit 5), not an input error
+        with pytest.raises(RuntimeError):
+            factor._gf_divmod([1, 1], [1, 2], 4)
 
     def test_units_and_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -184,6 +184,17 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "rule: constant-prime" in proc.stdout
 
+    def test_pseudoprime_constant_is_not_proved(self):
+        # a strong pseudoprime to the bases 2..37 with two 12-digit factors
+        proc = run_cli("check-irred", "318665857834031151167461", timeout=30)
+        assert proc.returncode == 1
+        assert "399165290221" in proc.stdout
+
+    def test_constant_with_large_factors_is_refuted(self):
+        proc = run_cli("check-irred", "1000036000099", timeout=10)
+        assert proc.returncode == 1
+        assert "1000003" in proc.stdout
+
     def test_deep_nesting_is_three(self, capsys):
         text = "(" * 3000 + "x1" + ")" * 3000
         assert cli.main(["check-irred", text]) == 3
