@@ -93,20 +93,14 @@ def _parse_shared(texts, laurent: bool, nvars=None) -> list[LaurentPoly]:
 
 
 def _strong_options(args):
+    """The budget flags over the defaults; check-irred has --max-degree only."""
     opts = DEFAULT_STRONG_OPTIONS
-    if getattr(args, "gb_steps", None):
+    if getattr(args, "gb_steps", None) is not None:
         opts = replace(opts, gb=replace(DEFAULT_GB_OPTIONS, max_pairs=args.gb_steps))
-    if getattr(args, "max_degree", None):
+    if args.max_degree is not None:
         opts = replace(opts, factor=replace(DEFAULT_FACTOR_OPTIONS, max_kron_degree=args.max_degree))
-    if getattr(args, "max_k", None):
+    if getattr(args, "max_k", None) is not None:
         opts = replace(opts, uniform_max=args.max_k)
-    return opts
-
-
-def _factor_options(args):
-    opts = DEFAULT_FACTOR_OPTIONS
-    if getattr(args, "max_degree", None):
-        opts = replace(opts, max_kron_degree=args.max_degree)
     return opts
 
 
@@ -128,7 +122,8 @@ def _read_stdin_json():
 
 def _cmd_check_irred(args):
     (p,) = _parse_shared([args.poly], args.laurent, args.vars)
-    v = is_irreducible(p, mode="laurent" if args.laurent else "ordinary", options=_factor_options(args))
+    mode = "laurent" if args.laurent else "ordinary"
+    v = is_irreducible(p, mode=mode, options=_strong_options(args).factor)
     return v.status, _encode(v), _verdict_lines(v), _EXIT_FOR_STATUS[v.status]
 
 
@@ -297,7 +292,7 @@ def _cmd_reduce_ideal(args):
 
 def _cmd_genericity(args):
     gb = DEFAULT_GB_OPTIONS
-    if args.gb_steps:
+    if args.gb_steps is not None:
         gb = replace(gb, max_pairs=args.gb_steps)
     report = genericity_sample(
         args.vars,
@@ -321,10 +316,35 @@ def _cmd_genericity(args):
     return "OK", result, lines, 0
 
 
-def _add_budget_flags(sub):
-    sub.add_argument("--max-degree", type=int, help="univariate degree cap for the lift route")
-    sub.add_argument("--max-k", type=int, help="uniform power bound for refutation search")
-    sub.add_argument("--gb-steps", type=int, help="Groebner pair budget")
+class _UsageError(Exception):
+    pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 3, an input error, rather than 2,
+    which the exit-code taxonomy reads as UNDECIDED."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid budget {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget {value} is below 1")
+    return value
+
+
+def _add_budget_flags(sub, kronecker_only=False):
+    sub.add_argument(
+        "--max-degree", type=_budget, help="Kronecker image degree cap for multivariate factoring"
+    )
+    if not kronecker_only:
+        sub.add_argument("--max-k", type=_budget, help="uniform power bound for refutation search")
+        sub.add_argument("--gb-steps", type=_budget, help="Groebner pair budget")
 
 
 def _add_common(sub, vars_flag=True):
@@ -335,7 +355,7 @@ def _add_common(sub, vars_flag=True):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="strongpoly",
         description="Exact certificates for strong irreducibility, strong coprimality, "
         "and torsion link-module invariants.",
@@ -345,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("check-irred", help="decide irreducibility over ZZ")
     s.add_argument("poly")
     _add_common(s)
-    _add_budget_flags(s)
+    _add_budget_flags(s, kronecker_only=True)
     s.set_defaults(handler=_cmd_check_irred)
 
     s = subs.add_parser("check-strong-irred", help="certify strong irreducibility")
@@ -431,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--coeff-box", type=int, default=100)
-    s.add_argument("--gb-steps", type=int)
+    s.add_argument("--gb-steps", type=_budget, help="Groebner pair budget")
     s.add_argument("--json", action="store_true")
     s.set_defaults(handler=_cmd_genericity)
 
@@ -439,8 +459,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return 3
     start = time.perf_counter()
     try:
         status, result, lines, code = args.handler(args)

@@ -47,11 +47,7 @@ from .verdict import Verdict
 
 @dataclass(frozen=True)
 class FactorOptions:
-    max_uv_degree: int = 320
     max_kron_degree: int = 240
-    max_kron_items: int = 14
-    max_kron_trials: int = 20_000
-    spec_points: int = 30
 
 
 DEFAULT_OPTIONS = FactorOptions()
@@ -79,15 +75,28 @@ def _uv_trim(f: list) -> list:
         f.pop()
     return f
 
+def _uv_mod(f, m) -> list:
+    """f with every coefficient reduced into [0, m), trimmed."""
+    return _uv_trim([c % m for c in f])
+
+def _uv_sym(f, m) -> list:
+    """f with every coefficient reduced into the symmetric range mod m, trimmed."""
+    return _uv_trim([c - m if c > m // 2 else c for c in _uv_mod(f, m)])
+
 def _uv_deg(f: list) -> int:
     return len(f) - 1
 
 def _uv_add(f, g):
-    n = max(len(f), len(g))
-    return _uv_trim([ (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n) ])
+    return _uv_trim([a + b for a, b in itertools.zip_longest(f, g, fillvalue=0)])
 
-def _uv_neg(f):
-    return [-c for c in f]
+def _uv_sub(f, g):
+    return _uv_trim([a - b for a, b in itertools.zip_longest(f, g, fillvalue=0)])
+
+def _uv_prod(fs) -> list:
+    out = [1]
+    for f in fs:
+        out = _uv_mul(out, f)
+    return out
 
 def _uv_mul(f, g):
     if not f or not g:
@@ -178,14 +187,7 @@ def _uv_gcd(f, g) -> list:
 
 
 def _gf_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _uv_trim(out)
+    return _uv_mod(_uv_mul(f, g), p)
 
 def _gf_divmod(f, g, p):
     """Division with remainder mod p, a prime or a prime power.
@@ -198,14 +200,12 @@ def _gf_divmod(f, g, p):
         inv = pow(g[-1], -1, p)
     except ValueError:
         raise RuntimeError(f"leading coefficient {g[-1]} is not a unit mod {p}") from None
-    rem = [c % p for c in f]
-    _uv_trim(rem)
+    rem = _uv_mod(f, p)
     if len(rem) < len(g):
         return [], rem
     out = [0] * (len(rem) - len(g) + 1)
     for k in range(len(out) - 1, -1, -1):
-        c = rem[k + len(g) - 1] % p
-        q = c * inv % p
+        q = rem[k + len(g) - 1] * inv % p
         out[k] = q
         if q:
             for j, b in enumerate(g):
@@ -213,21 +213,16 @@ def _gf_divmod(f, g, p):
     return _uv_trim(out), _uv_trim(rem)
 
 def _gf_gcd(f, g, p):
-    a = _uv_trim([c % p for c in f])
-    b = _uv_trim([c % p for c in g])
+    a, b = _uv_mod(f, p), _uv_mod(g, p)
     while b:
-        _, r = _gf_divmod(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
+        a, b = b, _gf_divmod(a, b, p)[1]
+    return _gf_monic(a, p)
 
 def _gf_monic(f, p):
-    f = _uv_trim([c % p for c in f])
+    f = _uv_mod(f, p)
     if not f:
         return f
-    inv = pow(f[-1], p - 2, p)
+    inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]
 
 def _gf_pow_mod(base, e, mod, p):
@@ -243,19 +238,17 @@ def _gf_pow_mod(base, e, mod, p):
 
 def _gf_xgcd(f, g, p):
     """(d, s, t) monic d = s*f + t*g over GF(p)."""
-    r0, r1 = _uv_trim([c % p for c in f]), _uv_trim([c % p for c in g])
+    r0, r1 = _uv_mod(f, p), _uv_mod(g, p)
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
         q, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _uv_trim([(a - b) % p for a, b in itertools.zip_longest(s0, _gf_mul(q, s1, p), fillvalue=0)])
-        t0, t1 = t1, _uv_trim([(a - b) % p for a, b in itertools.zip_longest(t0, _gf_mul(q, t1, p), fillvalue=0)])
+        s0, s1 = s1, _uv_mod(_uv_sub(s0, _uv_mul(q, s1)), p)
+        t0, t1 = t1, _uv_mod(_uv_sub(t0, _uv_mul(q, t1)), p)
     if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = [c * inv % p for c in r0]
-        s0 = [c * inv % p for c in s0]
-        t0 = [c * inv % p for c in t0]
+        inv = pow(r0[-1], -1, p)
+        r0, s0, t0 = ([c * inv % p for c in a] for a in (r0, s0, t0))
     return r0, s0, t0
 
 
@@ -264,19 +257,15 @@ def _berlekamp(f, p) -> list:
     n = _uv_deg(f)
     if n <= 1:
         return [list(f)]
-    # rows of the Frobenius matrix: x^(i*p) mod f
+    # rows of the Frobenius matrix Q: x^(i*p) mod f
     xp = _gf_pow_mod([0, 1], p, f, p)
     rows = []
     cur = [1]
     for _ in range(n):
         rows.append(cur + [0] * (n - len(cur)))
         cur = _gf_divmod(_gf_mul(cur, xp, p), f, p)[1]
-    # nullspace of (Q - I)^T is not needed; Berlekamp uses v*Q = v, i.e.
-    # nullspace of (Q^T - I); with rows[i] = x^(ip) the matrix acting on
-    # coefficient columns is Q^T, so eliminate M = Q - I column-style.
-    M = [[(rows[i][j] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
-    # row-reduce M^T to find vectors v with v*M = 0
-    T = [[M[i][j] for i in range(n)] for j in range(n)]
+    # Berlekamp's vectors v with v*Q = v span the right nullspace of (Q - I)^T
+    T = [[(rows[i][j] - (i == j)) % p for i in range(n)] for j in range(n)]
     basis = _gf_nullspace(T, p)
     r = len(basis)
     if r == 1:
@@ -314,7 +303,6 @@ def _gf_nullspace(M, p):
     """Basis of the right nullspace of square matrix M over GF(p)."""
     n = len(M)
     A = [row[:] for row in M]
-    pivot_col_of_row = []
     row = 0
     pivots = {}
     for col in range(n):
@@ -322,7 +310,7 @@ def _gf_nullspace(M, p):
         if piv is None:
             continue
         A[row], A[piv] = A[piv], A[row]
-        inv = pow(A[row][col], p - 2, p)
+        inv = pow(A[row][col], -1, p)
         A[row] = [c * inv % p for c in A[row]]
         for r in range(n):
             if r != row and A[r][col]:
@@ -346,40 +334,30 @@ def _gf_nullspace(M, p):
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic Hensel step: all invariants mod m lift to mod m*m."""
     mm = m * m
-    def red(a):
-        return _uv_trim([c % mm for c in a])
-    def sym(a):
-        return _uv_trim([c - mm if c > mm // 2 else c for c in [x % mm for x in a]])
-    e = red(_uv_add(f, _uv_neg(_uv_mul(g, h))))
+    e = _uv_mod(_uv_sub(f, _uv_mul(g, h)), mm)
     q, r = _gf_divmod(_uv_mul(s, e), h, mm)
-    g1 = red(_uv_add(g, _uv_add(_uv_mul(t, e), _uv_mul(q, g))))
-    h1 = red(_uv_add(h, r))
-    b = red(_uv_add(_uv_add(_uv_mul(s, g1), _uv_mul(t, h1)), [-1]))
+    g1 = _uv_mod(_uv_add(g, _uv_add(_uv_mul(t, e), _uv_mul(q, g))), mm)
+    h1 = _uv_mod(_uv_add(h, r), mm)
+    b = _uv_mod(_uv_sub(_uv_add(_uv_mul(s, g1), _uv_mul(t, h1)), [1]), mm)
     c, d = _gf_divmod(_uv_mul(s, b), h1, mm)
-    s1 = red(_uv_add(s, _uv_neg(d)))
-    t1 = red(_uv_add(t, _uv_neg(_uv_add(_uv_mul(t, b), _uv_mul(c, g1)))))
-    return sym(g1), sym(h1), sym(s1), sym(t1)
+    s1 = _uv_mod(_uv_sub(s, d), mm)
+    t1 = _uv_mod(_uv_sub(t, _uv_add(_uv_mul(t, b), _uv_mul(c, g1))), mm)
+    return _uv_sym(g1, mm), _uv_sym(h1, mm), _uv_sym(s1, mm), _uv_sym(t1, mm)
 
 
 def _hensel_lift_tree(f, factors, p, target):
     """Lift monic GF(p) factors of monic f to factors mod >= target.
 
-    Returns (lifted_factors, modulus) with f = prod(lifted) mod modulus and
-    every lifted factor monic with symmetric-range coefficients.
+    f = prod(lifted) mod some modulus >= target, and every lifted factor is
+    monic with symmetric-range coefficients.
     """
     if len(factors) == 1:
-        return [list(f)], None
+        return [list(f)]
     half = len(factors) // 2
     left, right = factors[:half], factors[half:]
-    g = [1]
-    for q in left:
-        g = _gf_mul(g, q, p)
-    h = [1]
-    for q in right:
-        h = _gf_mul(h, q, p)
+    g, h = _uv_mod(_uv_prod(left), p), _uv_mod(_uv_prod(right), p)
     _, s, t = _gf_xgcd(g, h, p)
     m = p
-    g, h = [c % p for c in g], [c % p for c in h]
     while m < target:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)
         m = m * m
@@ -388,9 +366,8 @@ def _hensel_lift_tree(f, factors, p, target):
         if len(sub) == 1:
             out.append(part)
         else:
-            lifted, _ = _hensel_lift_tree(part, sub, p, target)
-            out.extend(lifted)
-    return out, m
+            out.extend(_hensel_lift_tree(part, sub, p, target))
+    return out
 
 
 def _mignotte_modulus(f, p) -> int:
@@ -427,6 +404,14 @@ MR_CERTIFIED_BELOW = 3_317_044_064_679_887_385_961_981
 # for a prime factor q, and split (10^12+39)*(10^12+61) in 0.6 s)
 MAX_TRIAL_DIVISORS = 10_000
 MAX_RHO_STEPS = 3_000_000
+# Factoring budgets: the largest univariate degree Zassenhaus takes on, the
+# most Kronecker-image factors the lift recombines, the subsets either
+# recombination tries, and the degree-preserving points the specialization
+# route evaluates.  Only the Kronecker image degree is an option.
+MAX_UV_DEGREE = 320
+MAX_KRON_ITEMS = 14
+MAX_KRON_TRIALS = 20_000
+SPEC_POINTS = 30
 
 
 def _is_prime(n: int) -> bool:
@@ -458,32 +443,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _zassenhaus_squarefree(f: list, options: FactorOptions) -> list:
+def _zassenhaus_squarefree(f: list) -> list:
     """Irreducible Z-factors of a primitive squarefree f with lc > 0."""
     n = _uv_deg(f)
     if n <= 1:
         return [list(f)]
-    if n > options.max_uv_degree:
+    if n > MAX_UV_DEGREE:
         raise ResourceBudgetExceeded(
-            "factor-degree", f"univariate degree {n} exceeds budget {options.max_uv_degree}"
+            "factor-degree", f"univariate degree {n} exceeds budget {MAX_UV_DEGREE}"
         )
     # monic transform F(y) = lc^(n-1) f(y/lc)
     lc = f[-1]
-    if lc == 1:
-        F = list(f)
-    else:
-        F = [f[k] * lc ** (n - 1 - k) for k in range(n)] + [1]
+    F = [f[k] * lc ** (n - 1 - k) for k in range(n)] + [1]
     p = _pick_prime(F)
     modular = _berlekamp(_gf_monic(F, p), p)
     if len(modular) == 1:
         return [list(f)]
     target = _mignotte_modulus(F, p)
-    lifted, _ = _hensel_lift_tree([c % target for c in F], modular, p, target)
-
-    def sym(a):
-        return _uv_trim([c - target if c > target // 2 else c for c in [x % target for x in a]])
-
-    items = [sym(q) for q in lifted]
+    lifted = _hensel_lift_tree(_uv_mod(F, target), modular, p, target)
+    items = [_uv_sym(q, target) for q in lifted]
     found_monic: list = []
     remaining = list(F)
     pool = list(range(len(items)))
@@ -493,12 +471,9 @@ def _zassenhaus_squarefree(f: list, options: FactorOptions) -> list:
         hit = False
         for combo in itertools.combinations(pool, size):
             trials += 1
-            if trials > options.max_kron_trials:
+            if trials > MAX_KRON_TRIALS:
                 raise ResourceBudgetExceeded("factor-trials", "recombination budget exceeded")
-            cand = [1]
-            for idx in combo:
-                cand = _uv_mul(cand, items[idx])
-            cand = sym(cand)
+            cand = _uv_sym(_uv_prod(items[idx] for idx in combo), target)
             quo = _uv_exact_div(remaining, cand)
             if quo is not None:
                 found_monic.append(cand)
@@ -510,46 +485,36 @@ def _zassenhaus_squarefree(f: list, options: FactorOptions) -> list:
             size += 1
     if _uv_deg(remaining) >= 1:
         found_monic.append(remaining)
-    if lc == 1:
-        out = [list(g) for g in found_monic]
-    else:
-        # undo y = lc*x and restore primitivity
-        out = []
-        for g in found_monic:
-            out.append(_uv_primitive([g[k] * lc ** k for k in range(len(g))]))
-    acc = [1]
-    for g in out:
-        acc = _uv_mul(acc, g)
-    if acc != list(f):
+    # undo y = lc*x and restore primitivity
+    out = [_uv_primitive([g[k] * lc ** k for k in range(len(g))]) for g in found_monic]
+    if _uv_prod(out) != list(f):
         raise AssertionError("recombination lost exactness")
     return sorted(out, key=lambda g: (len(g), g))
 
 
-def _uv_factor_primitive(f: list, options: FactorOptions) -> list[tuple[list, int]]:
+def _uv_factor_primitive(f: list) -> list[tuple[list, int]]:
     """(factor, multiplicity) pairs for primitive f with lc > 0, deg >= 1."""
     out = []
-    k = 0
-    while f[0] == 0:
-        k += 1
-        f = f[1:]
+    k = next(i for i, c in enumerate(f) if c)
     if k:
         out.append(([0, 1], k))
+        f = f[k:]
     if _uv_deg(f) >= 1:
         # Yun squarefree decomposition
         d = _uv_deriv(f)
         a = _uv_gcd(f, d)
         b = _uv_exact_div(f, a)
         c = _uv_exact_div(d, a)
-        d = _uv_add(c, _uv_neg(_uv_deriv(b)))
+        d = _uv_sub(c, _uv_deriv(b))
         i = 1
         while _uv_deg(b) > 0:
             a = _uv_gcd(b, d)
             b2 = _uv_exact_div(b, a)
             c = _uv_exact_div(d, a)
             b = b2
-            d = _uv_add(c, _uv_neg(_uv_deriv(b)))
+            d = _uv_sub(c, _uv_deriv(b))
             if _uv_deg(a) > 0:
-                for irr in _zassenhaus_squarefree(a, options):
+                for irr in _zassenhaus_squarefree(a):
                     out.append((irr, i))
             i += 1
     return out
@@ -563,13 +528,6 @@ def _require_zz(p: LaurentPoly):
         raise ValueError("factorization is implemented over ZZ")
 
 
-def _dense_from(p: LaurentPoly, var: int) -> list:
-    out = [0] * (p.degree_in(var) + 1)
-    for m, c in p.term_dict().items():
-        out[m[var]] += c
-    return _uv_trim(out)
-
-
 def _poly_from_dense(coeffs: list, ring: Ring, var: int) -> LaurentPoly:
     terms = {}
     for e, c in enumerate(coeffs):
@@ -580,7 +538,7 @@ def _poly_from_dense(coeffs: list, ring: Ring, var: int) -> LaurentPoly:
     return LaurentPoly(ring, terms)
 
 
-def univariate_factor(p: LaurentPoly, options: FactorOptions = DEFAULT_OPTIONS) -> Factorization:
+def univariate_factor(p: LaurentPoly) -> Factorization:
     """Complete factorization of a univariate (one effective variable) p over Z."""
     _require_zz(p)
     if p.ring.laurent:
@@ -592,19 +550,13 @@ def univariate_factor(p: LaurentPoly, options: FactorOptions = DEFAULT_OPTIONS) 
         raise ValueError(f"polynomial uses {len(used)} variables, expected at most 1")
     if not used:
         c = p.constant_value()
-        sign = -1 if c < 0 else 1
-        mag = abs(c)
-        facs = []
-        for q, m in _int_factor(mag):
-            facs.append((LaurentPoly.constant(p.ring, q), m))
-        return Factorization(sign, tuple(facs))
+        facs = tuple((LaurentPoly.constant(p.ring, q), m) for q, m in _int_factor(abs(c)))
+        return Factorization(-1 if c < 0 else 1, facs)
     var = used[0]
-    dense = _dense_from(p, var)
-    cont = _uv_content(dense)
-    if dense[-1] < 0:
-        cont = -cont
-    prim = [c // cont for c in dense]
-    pairs = _uv_factor_primitive(prim, options)
+    dense = _eval_partial(p, var, {})
+    prim = _uv_primitive(dense)
+    cont = dense[-1] // prim[-1]
+    pairs = _uv_factor_primitive(prim)
     facs = [(_poly_from_dense(g, p.ring, var), m) for g, m in pairs]
     facs.sort(key=lambda fm: (fm[0].total_degree(), fm[0].to_text()))
     unit = cont
@@ -679,9 +631,16 @@ def _rho_split(n: int, steps: int) -> tuple[int, int]:
 
 # -- multivariate gcd -----------------------------------------------------
 
+# Term products (one coefficient multiplication each) that the pseudo-
+# remainders of one poly_gcd call, or of one content split, may spend: 20
+# times the most any call spends in the test suite (50022, acceptance 8) or
+# in the benchmark's reference instances (1116).
+MAX_GCD_TERM_PRODUCTS = 10**6
 
-def _dict_gcd(f: dict, g: dict) -> dict:
-    """gcd of integer term dicts, primitive PRS recursion, sign-normalized."""
+
+def _dict_gcd(f: dict, g: dict, budget: list) -> dict:
+    """gcd of integer term dicts, primitive PRS recursion, sign-normalized;
+    budget is a one-item list of the term products _dict_prem may spend."""
     if not f:
         return _primitive_terms(g)
     if not g:
@@ -696,16 +655,16 @@ def _dict_gcd(f: dict, g: dict) -> dict:
         z = next(iter(f))
         return {z: math.gcd(f[z], next(iter(g.values())))}
     v = min(used)
-    fc, fp = _split_content(f, v)
-    gc, gp = _split_content(g, v)
-    cont = _dict_gcd(fc, gc)
+    fc, fp = _split_content(f, v, budget)
+    gc, gp = _split_content(g, v, budget)
+    cont = _dict_gcd(fc, gc, budget)
     a, b = fp, gp
     if _deg_in(a, v) < _deg_in(b, v):
         a, b = b, a
     while b:
-        r = _dict_prem(a, b, v)
-        a, b = b, _primitive_in(r, v)
-    a = _primitive_in(a, v)
+        r = _dict_prem(a, b, v, budget)
+        a, b = b, _primitive_in(r, v, budget)
+    a = _primitive_in(a, v, budget)
     return _primitive_terms(_mul_terms(cont, a))
 
 
@@ -722,13 +681,13 @@ def _coeff_in(d: dict, v: int, e: int) -> dict:
     return out
 
 
-def _split_content(d: dict, v: int) -> tuple[dict, dict]:
+def _split_content(d: dict, v: int, budget: list) -> tuple[dict, dict]:
     """(content, primitive part) of d viewed univariately in v."""
     cont: dict = {}
     for e in range(_deg_in(d, v) + 1):
         ce = _coeff_in(d, v, e)
         if ce:
-            cont = _dict_gcd(cont, ce) if cont else _primitive_terms(ce)
+            cont = _dict_gcd(cont, ce, budget) if cont else _primitive_terms(ce)
             if _is_dict_one(cont):
                 break
     pp = _div_terms(d, cont)
@@ -741,7 +700,7 @@ def _is_dict_one(d: dict) -> bool:
     return len(d) == 1 and next(iter(d.values())) == 1 and not any(next(iter(d)))
 
 
-def _dict_prem(f: dict, g: dict, v: int) -> dict:
+def _dict_prem(f: dict, g: dict, v: int, budget: list) -> dict:
     """Pseudo-remainder of f by g in the variable v."""
     dg = _deg_in(g, v)
     glc = _coeff_in(g, v, dg)
@@ -749,6 +708,11 @@ def _dict_prem(f: dict, g: dict, v: int) -> dict:
     while r and _deg_in(r, v) >= dg:
         dr = _deg_in(r, v)
         rlc = _coeff_in(r, v, dr)
+        budget[0] -= len(r) * len(glc) + len(rlc) * len(g)
+        if budget[0] < 0:
+            raise ResourceBudgetExceeded(
+                "gcd", f"pseudo-remainders need more than {MAX_GCD_TERM_PRODUCTS} term products"
+            )
         # r = glc * r - rlc * x_v^(dr - dg) * g, one term of rlc at a time
         r = _mul_terms(r, glc)
         for m, c in rlc.items():
@@ -756,11 +720,14 @@ def _dict_prem(f: dict, g: dict, v: int) -> dict:
     return r
 
 
-def _primitive_in(d: dict, v: int) -> dict:
+def _primitive_in(d: dict, v: int, budget: list) -> dict:
+    """d over its content in v and over its integer content: the gcd is
+    taken up to integer factors, and keeping them lets the pseudo-remainders'
+    coefficients grow exponentially."""
     if not d:
         return {}
-    _, pp = _split_content(d, v)
-    return pp
+    _, pp = _split_content(d, v, budget)
+    return _primitive_terms(pp)
 
 
 def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -783,7 +750,7 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
             hq, _ = laurent_normalize(h)
             return hq.term_dict()
         return h.term_dict()
-    d = _dict_gcd(norm(p), norm(q))
+    d = _dict_gcd(norm(p), norm(q), [MAX_GCD_TERM_PRODUCTS])
     return LaurentPoly(p.ring, d)
 
 
@@ -808,7 +775,7 @@ def _eval_partial(p: LaurentPoly, main: int, point: dict) -> list:
     return _uv_trim(out)
 
 
-def _specialization_proved(p: LaurentPoly, options: FactorOptions) -> bool:
+def _specialization_proved(p: LaurentPoly) -> bool:
     """Try to certify irreducibility by a degree-preserving specialization."""
     used = p.used_vars()
     main = min(used, key=lambda v: (p.degree_in(v), v))
@@ -817,7 +784,7 @@ def _specialization_proved(p: LaurentPoly, options: FactorOptions) -> bool:
     values = (1, -1, 2, -2, 3, -3, 0)
     attempts = 0
     for combo in itertools.product(values, repeat=len(others)):
-        if attempts >= options.spec_points:
+        if attempts >= SPEC_POINTS:
             break
         point = dict(zip(others, combo))
         dense = _eval_partial(p, main, point)
@@ -830,7 +797,7 @@ def _specialization_proved(p: LaurentPoly, options: FactorOptions) -> bool:
         if _uv_deg(prim) == 1:
             return True
         try:
-            pairs = _uv_factor_primitive(list(prim), options)
+            pairs = _uv_factor_primitive(prim)
         except ResourceBudgetExceeded:
             continue
         if len(pairs) == 1 and pairs[0][1] == 1:
@@ -856,7 +823,7 @@ def _kronecker_split(p: LaurentPoly, options: FactorOptions):
         dense[sum(m[v] * weight[v] for v in used)] += c
     dense = _uv_trim(dense)
     try:
-        pairs = _uv_factor_primitive(_uv_primitive(dense), options)
+        pairs = _uv_factor_primitive(_uv_primitive(dense))
     except ResourceBudgetExceeded as exc:
         return ("resource", str(exc))
     items = []
@@ -864,18 +831,16 @@ def _kronecker_split(p: LaurentPoly, options: FactorOptions):
         items.extend([g] * mult)
     if len(items) == 1:
         return ("irreducible", None)
-    if len(items) > options.max_kron_items:
+    if len(items) > MAX_KRON_ITEMS:
         return ("resource", f"{len(items)} kronecker factors exceed budget")
     trials = 0
     nv = p.ring.nvars
     for size in range(1, len(items) // 2 + 1):
         for combo in itertools.combinations(range(len(items)), size):
             trials += 1
-            if trials > options.max_kron_trials:
+            if trials > MAX_KRON_TRIALS:
                 return ("resource", "kronecker trial budget exceeded")
-            gd = [1]
-            for idx in combo:
-                gd = _uv_mul(gd, items[idx])
+            gd = _uv_prod(items[idx] for idx in combo)
             terms = {}
             ok = True
             for e, c in enumerate(gd):
@@ -957,7 +922,7 @@ def is_irreducible(
 
     used = q.used_vars()
     if len(used) == 1:
-        fact = univariate_factor(q, options)
+        fact = univariate_factor(q)
         expanded = [f for f, m in fact.factors for _ in range(m)]
         if len(expanded) == 1:
             return verdict.proved("univariate")
@@ -968,12 +933,13 @@ def is_irreducible(
         return verdict.proved("degree-1")
 
     main = min(used, key=lambda v: (q.degree_in(v), v))
-    cont_v = LaurentPoly(q.ring, _split_content(q.term_dict(), main)[0])
+    cont_v, _ = _split_content(q.term_dict(), main, [MAX_GCD_TERM_PRODUCTS])
+    cont_v = LaurentPoly(q.ring, cont_v)
     if not cont_v.is_unit():
         quo = exact_divide(q, cont_v)
         return verdict.refuted({"factors": with_unit([cont_v, quo])})
 
-    if _specialization_proved(q, options):
+    if _specialization_proved(q):
         return verdict.proved("specialization")
 
     status, payload = _kronecker_split(q, options)

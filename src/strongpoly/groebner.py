@@ -31,10 +31,14 @@ from .ring import (
 )
 
 
+# Largest reducer list Buchberger keeps before giving up; the S-pair
+# budget is the option.
+MAX_BASIS = 500
+
+
 @dataclass(frozen=True)
 class GBOptions:
     max_pairs: int = 20_000
-    max_basis: int = 500
 
 
 DEFAULT_OPTIONS = GBOptions()
@@ -230,10 +234,8 @@ def buchberger(I: IdealBasis, options: GBOptions = DEFAULT_OPTIONS) -> GroebnerB
         if not r:
             continue
         reducers.append(_reducer(r))
-        if len(reducers) > options.max_basis:
-            raise ResourceBudgetExceeded(
-                "gb-basis", f"basis size budget {options.max_basis} exceeded"
-            )
+        if len(reducers) > MAX_BASIS:
+            raise ResourceBudgetExceeded("gb-basis", f"basis size budget {MAX_BASIS} exceeded")
         new = len(reducers) - 1
         for k in range(new):
             push_pair(k, new)

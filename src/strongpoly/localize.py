@@ -15,7 +15,7 @@ inside verification, where the combination identity is replayed exactly.
 from dataclasses import dataclass
 
 from .factor import coprime, is_irreducible
-from .ring import LaurentPoly, Ring, ZZ, _embed_vars
+from .ring import LaurentPoly, Ring, ZZ, monomial_substitute
 from .strongcheck import DEFAULT_STRONG_OPTIONS, StrongIrredOptions, check_strongly_coprime
 from .verdict import PROVED, Verdict, proved, refuted, undecided
 
@@ -65,18 +65,17 @@ def divisor_set_member(
 ) -> Verdict:
     """Membership of the candidate product in the divisor set of p.
 
-    PROVED when every factor is certified strongly coprime to p; REFUTED
-    when some factor is refuted (p itself, for instance); UNDECIDED is
-    inherited from the first factor the coprimality check cannot settle.
+    Each factor is evaluated at its images first.  PROVED when every
+    evaluated factor is certified strongly coprime to p; REFUTED when some
+    factor is refuted (p itself, for instance); UNDECIDED is inherited from
+    the first factor the coprimality check cannot settle.
     """
     p = query.p.to_laurent()
     n = p.ring.nvars
     factor_rules = []
-    for idx, (q, _images) in enumerate(query.candidate):
-        if q.ring.nvars > n:
-            raise ValueError("candidate uses more variables than the ambient ring")
-        emb = _embed_vars(q.to_laurent(), range(q.ring.nvars), n).to_domain(ZZ)
-        sub = check_strongly_coprime(p, emb, options)
+    for idx, (q, images) in enumerate(query.candidate):
+        ev = monomial_substitute(q.to_laurent(), images, n).to_domain(ZZ)
+        sub = check_strongly_coprime(p, ev, options)
         if sub.is_refuted:
             return refuted(
                 {"factor_index": idx, "coprimality": sub.witness},

@@ -19,7 +19,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import LaurentPoly, Ring
+from .errors import ResourceBudgetExceeded
+from .ring import LaurentPoly, Ring, _add_shifted, _mul_terms
 
 
 class ParseError(ValueError):
@@ -41,6 +42,10 @@ class _Token:
 # level costs three Python frames, so this stays far below the
 # interpreter's recursion limit.
 MAX_NESTING = 100
+# Largest product the parser expands, in term pairs (len(a) * len(b)):
+# about a second of CPython.  The test suite's largest is 16641, and
+# (1 + x1 + x2 + x3)^200 would need 2 * 10^9.
+MAX_TERM_PAIRS = 10**6
 
 _TOKEN_RE = re.compile(r"\d+|x\d+|[+\-*/^()]|\S")
 
@@ -67,15 +72,15 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _PolyParser:
-    """Recursive-descent parser building sparse term dicts keyed by
-    (coefficient, exponent list); the ring is fixed only at the end, when
-    the variable count is known."""
+    """Recursive-descent parser building term dicts that map exponent
+    tuples of a fixed width, nvars, to int coefficients, or Fraction ones
+    once a fraction appears."""
 
-    def __init__(self, tokens: list[_Token], laurent: bool):
+    def __init__(self, tokens: list[_Token], laurent: bool, nvars: int):
         self.tokens = tokens
         self.pos = 0
         self.laurent = laurent
-        self.max_var = 0
+        self.nvars = nvars
         self.depth = 0
 
     def peek(self) -> _Token:
@@ -92,9 +97,6 @@ class _PolyParser:
             raise ParseError(f"expected {op!r}", t.line, t.col)
         return self.take()
 
-    # Terms are dicts mapping exponent tuples (over variables seen so far,
-    # ragged) to Fraction coefficients; exponent tuples are padded later.
-
     def parse_expr(self) -> dict:
         t = self.peek()
         negate = False
@@ -104,18 +106,13 @@ class _PolyParser:
         total = self.parse_term()
         if negate:
             total = {m: -c for m, c in total.items()}
+        zero = (0,) * self.nvars
         while True:
             t = self.peek()
             if t.kind == "OP" and t.text in "+-":
                 self.take()
                 rhs = self.parse_term()
-                sign = 1 if t.text == "+" else -1
-                for m, c in rhs.items():
-                    s = total.get(m, Fraction(0)) + sign * c
-                    if s:
-                        total[m] = s
-                    else:
-                        total.pop(m, None)
+                _add_shifted(total, rhs, 1 if t.text == "+" else -1, zero)
             else:
                 return total
 
@@ -131,20 +128,13 @@ class _PolyParser:
             else:
                 return total
 
-    def _mul(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                n = max(len(m1), len(m2))
-                e1 = m1 + (0,) * (n - len(m1))
-                e2 = m2 + (0,) * (n - len(m2))
-                key = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
+    @staticmethod
+    def _mul(a: dict, b: dict) -> dict:
+        if len(a) * len(b) > MAX_TERM_PAIRS:
+            raise ResourceBudgetExceeded(
+                "parse", f"a {len(a)} by {len(b)} term product is over {MAX_TERM_PAIRS} term pairs"
+            )
+        return _mul_terms(a, b)
 
     def _int(self) -> int:
         t = self.peek()
@@ -157,21 +147,20 @@ class _PolyParser:
         t = self.peek()
         if t.kind == "NUM":
             self.take()
-            c = Fraction(int(t.text))
+            c = int(t.text)
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "/":
                 self.take()
                 d = self._int()
                 if d == 0:
                     raise ParseError("zero denominator", nxt.line, nxt.col)
-                c = c / d
-            return {(): c} if c else {}
+                c = Fraction(c, d)
+            return {(0,) * self.nvars: c} if c else {}
         if t.kind == "VAR":
             self.take()
             idx = int(t.text[1:])
             if idx < 1:
                 raise ParseError("variables are numbered from x1", t.line, t.col)
-            self.max_var = max(self.max_var, idx)
             exp = 1
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "^":
@@ -186,8 +175,9 @@ class _PolyParser:
                     self.take()
                     sign = -1
                 exp = sign * self._int()
-            mono = (0,) * (idx - 1) + (exp,)
-            return {mono: Fraction(1)}
+            mono = [0] * self.nvars
+            mono[idx - 1] = exp
+            return {tuple(mono): 1}
         if t.kind == "OP" and t.text == "(":
             self.take()
             if self.depth == MAX_NESTING:
@@ -202,9 +192,13 @@ class _PolyParser:
             if nxt.kind == "OP" and nxt.text == "^":
                 self.take()
                 e = self._int()
-                out = {(): Fraction(1)}
-                for _ in range(e):
-                    out = self._mul(out, inner)
+                out = {(0,) * self.nvars: 1}
+                while e:
+                    if e & 1:
+                        out = self._mul(out, inner)
+                    e >>= 1
+                    if e:
+                        inner = self._mul(inner, inner)
                 return out
             return inner
         raise ParseError("expected a coefficient, variable, or '('", t.line, t.col)
@@ -220,20 +214,18 @@ def parse_polynomial(text: str, nvars: int | None = None, laurent: bool = False)
     tokens = _tokenize(text)
     if tokens[0].kind == "END":
         raise ParseError("empty input", tokens[0].line, tokens[0].col)
-    parser = _PolyParser(tokens, laurent)
+    mentioned = max((int(t.text[1:]) for t in tokens if t.kind == "VAR"), default=0)
+    n = mentioned if nvars is None else max(mentioned, nvars)
+    parser = _PolyParser(tokens, laurent, n)
     terms = parser.parse_expr()
     end = parser.peek()
     if end.kind != "END":
         raise ParseError(f"unexpected {end.text!r}", end.line, end.col)
-    n = parser.max_var
-    if nvars is not None:
-        if nvars < n:
-            raise ValueError(f"polynomial mentions x{n} but only {nvars} variables allowed")
-        n = nvars
-    rational = any(c.denominator != 1 for c in terms.values())
+    if nvars is not None and nvars < mentioned:
+        raise ValueError(f"polynomial mentions x{mentioned} but only {nvars} variables allowed")
+    rational = any(isinstance(c, Fraction) and c.denominator != 1 for c in terms.values())
     ring = Ring(n, laurent=laurent, domain="QQ" if rational else "ZZ")
-    full = {m + (0,) * (n - len(m)): (c if rational else int(c)) for m, c in terms.items()}
-    return LaurentPoly(ring, full)
+    return LaurentPoly(ring, terms if rational else {m: int(c) for m, c in terms.items()})
 
 
 _BRAID_RE = re.compile(r"s(\d+)(?:\^(-?\d+))?$")

@@ -58,21 +58,24 @@ from .ring import (
 from .verdict import Verdict
 
 
+# Refutation search: the positive box 1..BOX_MAX in every variable, cut
+# after MAX_BOX_CANDIDATES substitutions.  The box is positive on purpose:
+# negative exponents compose a bar involution with a positive substitution,
+# and bar preserves both irreducibility and reducibility, so mixed signs add
+# no refutations.
+BOX_MAX = 4
+MAX_BOX_CANDIDATES = 256
+# Strong coprimality: monomial-image tuples listed per side.
+COPRIME_CATALOG_CAP = 40
+
+
 @dataclass(frozen=True)
 class StrongIrredOptions:
-    """Budgets for the criterion route and the refutation search.
-
-    The search box is positive on purpose: negative exponents compose a
-    bar involution with a positive substitution, and bar preserves both
-    irreducibility and reducibility, so mixed signs add no refutations.
-    """
+    """Budgets for the criterion route and the refutation search."""
 
     uniform_max: int = 6
-    box_max: int = 4
-    max_box_candidates: int = 256
     gb: GBOptions = field(default_factory=lambda: DEFAULT_GB_OPTIONS)
     factor: FactorOptions = field(default_factory=lambda: DEFAULT_FACTOR_OPTIONS)
-    coprime_catalog_cap: int = 40
 
 
 DEFAULT_STRONG_OPTIONS = StrongIrredOptions()
@@ -259,8 +262,8 @@ def _refutation_search(q: LaurentPoly, options: StrongIrredOptions):
             return (t, factors), notes
     if m >= 2:
         count = 0
-        for t in itertools.product(range(1, options.box_max + 1), repeat=m):
-            if count >= options.max_box_candidates:
+        for t in itertools.product(range(1, BOX_MAX + 1), repeat=m):
+            if count >= MAX_BOX_CANDIDATES:
                 notes["box_truncated"] = True
                 break
             count += 1
@@ -273,7 +276,7 @@ def _refutation_search(q: LaurentPoly, options: StrongIrredOptions):
 # -- strong coprimality ----------------------------------------------------
 
 
-def _image_catalog(m: int, nvars_out: int, cap: int) -> list[tuple[tuple[int, ...], ...]]:
+def _image_catalog(m: int, nvars_out: int) -> list[tuple[tuple[int, ...], ...]]:
     """Small catalog of linearly independent monomial-image tuples.
 
     Each entry is a tuple of m exponent vectors of length nvars_out.
@@ -301,9 +304,9 @@ def _image_catalog(m: int, nvars_out: int, cap: int) -> list[tuple[tuple[int, ..
         img = diag(t)
         if img not in out:
             out.append(img)
-        if len(out) >= cap:
+        if len(out) >= COPRIME_CATALOG_CAP:
             break
-    return out[:cap]
+    return out[:COPRIME_CATALOG_CAP]
 
 
 def check_strongly_coprime(
@@ -341,7 +344,7 @@ def check_strongly_coprime(
             notes[f"side_{label}_not_certified"] = sub.status
 
     m = p.ring.nvars
-    catalog = _image_catalog(m, m, options.coprime_catalog_cap)
+    catalog = _image_catalog(m, m)
     pairs_tried = 0
     for img_p, img_q in itertools.product(catalog, repeat=2):
         pairs_tried += 1

@@ -8,7 +8,6 @@ import sympy
 from hypothesis import assume, given, settings
 
 from strongpoly import (
-    FactorOptions,
     LaurentPoly,
     PROVED,
     REFUTED,
@@ -125,10 +124,11 @@ class TestUnivariate:
         assert fact.expand(R1) == p
         assert sorted(m for _, m in fact.factors) == [1, 1, 2]
 
-    def test_degree_budget(self):
+    def test_degree_budget(self, monkeypatch):
         p = mk(1, {(12,): 1, (0,): -1})
+        monkeypatch.setattr(factor, "MAX_UV_DEGREE", 5)
         with pytest.raises(Exception):
-            is_irreducible(p, options=FactorOptions(max_uv_degree=5))
+            is_irreducible(p)
 
 
 class TestModes:

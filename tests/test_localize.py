@@ -11,6 +11,7 @@ from strongpoly import (
     PROVED,
     REFUTED,
     ReductionResult,
+    UNDECIDED,
     Ring,
     ZZ,
     coprime,
@@ -187,6 +188,14 @@ class TestDivisorSet:
         v = divisor_set_member(DivisorSetQuery(P, (((cand, ((1, 0),))),)))
         assert v.status == PROVED
         assert v.rule == "componentwise"
+
+    def test_factor_is_evaluated_at_its_images(self):
+        # x1 - 2 at x1 -> x1*x2 is x1*x2 - 2, which uses both of p's variables,
+        # so the fewer-variables rule no longer applies
+        cand = mk(1, {(1,): 1, (0,): -2})
+        v = divisor_set_member(DivisorSetQuery(P, ((cand, ((1, 1),)),)))
+        assert v.status == UNDECIDED
+        assert v.details["factor_index"] == 0
 
     def test_factor_equal_to_p_refuted(self):
         v = divisor_set_member(DivisorSetQuery(P, ((P, ((1, 0), (0, 1))),)))

@@ -1,8 +1,10 @@
 """Text grammar and the command-line surface."""
 
 import json
+import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,13 +16,14 @@ from strongpoly import (
     LaurentPoly,
     ParseError,
     QQ,
+    ResourceBudgetExceeded,
     Ring,
     ZZ,
     parse_braid,
     parse_matrix_json,
     parse_polynomial,
 )
-from strongpoly import cli
+from strongpoly import cli, factor
 from strongpoly.parse import parse_exponent_pairs
 
 from conftest import mk, nonzero_poly_st
@@ -69,6 +72,25 @@ class TestPolynomialGrammar:
         for bad in ("", "x1 +", "()", "x1^", "1 2x", "y1 + 1", "x1**2"):
             with pytest.raises(ParseError):
                 parse_polynomial(bad)
+
+    def test_zero_exponent_is_the_constant_one(self):
+        # a zeroth power and a constant used to land on different keys
+        assert parse_polynomial("1 + x2^0") == mk(2, {(0, 0): 2})
+        assert parse_polynomial("(x1)^0 - x1^0 + 3") == mk(1, {(0,): 3})
+
+    def test_huge_power_of_a_monomial_is_fast(self):
+        start = time.perf_counter()
+        p = parse_polynomial("(x1)^10000000")
+        assert time.perf_counter() - start < 1
+        assert p == mk(1, {(10000000,): 1})
+
+    def test_power_expands_exactly(self):
+        p = parse_polynomial("(1+x1)^300")
+        assert p == mk(1, {(k,): math.comb(300, k) for k in range(301)})
+
+    def test_oversized_product_is_budgeted(self):
+        with pytest.raises(ResourceBudgetExceeded):
+            parse_polynomial("(1+x1+x2+x3)^200")
 
     @given(nonzero_poly_st(nvars=2, laurent=True, max_exp=3))
     @settings(max_examples=50, deadline=None)
@@ -194,6 +216,47 @@ class TestExitCodes:
         proc = run_cli("check-irred", "1000036000099", timeout=10)
         assert proc.returncode == 1
         assert "1000003" in proc.stdout
+
+    def test_oversized_parse_is_four(self):
+        proc = run_cli("check-irred", "(1+x1+x2+x3)^200", timeout=10)
+        assert proc.returncode == 4
+        assert "resource budget" in proc.stderr
+
+    GCD_PAIR = ("-x1^3*x2 + 3*x1^2*x2^2 - 2*x1^3 + 3*x1*x2^2", "4*x1^6*x2^9 + 5*x2^6 - 4")
+
+    def test_gcd_of_small_images_ends(self):
+        # the gcd's pseudo-remainders used to keep their integer content, and
+        # their coefficients grew without bound at the images (id, diag(3, 3))
+        proc = run_cli("check-coprime", *self.GCD_PAIR, timeout=10)
+        assert proc.returncode == 2
+        assert "coprimality-search-exhausted" in proc.stdout
+
+    def test_gcd_budget_is_four(self, monkeypatch, capsys):
+        monkeypatch.setattr(factor, "MAX_GCD_TERM_PRODUCTS", 1000)
+        assert cli.main(["check-coprime", *self.GCD_PAIR]) == 4
+        assert "term products" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-irred", "x1", "--bogus"],
+            [],
+            ["check-irred", "x1 + x2", "--max-k", "3"],
+            ["check-irred", "x1 + x2", "--gb-steps", "3"],
+            ["check-strong-irred", "1 + x1 - x2", "--gb-steps", "0"],
+            ["check-strong-irred", "1 + x1 - x2", "--gb-steps", "-1"],
+            ["check-strong-irred", "1 + x1 - x2", "--max-k", "0"],
+            ["check-coprime", "1 + x1 - x2", "x3", "--max-degree", "0"],
+            ["genericity", "--vars", "3", "--degree", "2", "--trials", "2", "--gb-steps", "0"],
+        ],
+    )
+    def test_usage_errors_are_three(self, argv, capsys):
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    def test_budget_flags_are_applied(self, capsys):
+        assert cli.main(["check-strong-irred", "1 + x1 - x2", "--gb-steps", "1"]) == 2
+        assert "resource-gb-pairs" in capsys.readouterr().out
 
     def test_deep_nesting_is_three(self, capsys):
         text = "(" * 3000 + "x1" + ")" * 3000

@@ -24,6 +24,7 @@ from strongpoly import (
     homogenize,
     power_substitute,
 )
+from strongpoly import strongcheck
 
 from conftest import mk
 
@@ -203,12 +204,13 @@ class TestGenericity:
 
 
 class TestOptions:
-    def test_small_search_box_turns_refutation_into_undecided(self):
+    def test_small_search_box_turns_refutation_into_undecided(self, monkeypatch):
         # x1^5 - 1 factors only at substitution exponents the tiny box misses
         p = mk(2, {(5, 0): 1, (0, 0): -1})
         full = check_strongly_irreducible(p)
         assert full.status == REFUTED
-        tiny = check_strongly_irreducible(p, StrongIrredOptions(uniform_max=1, box_max=1))
+        monkeypatch.setattr(strongcheck, "BOX_MAX", 1)
+        tiny = check_strongly_irreducible(p, StrongIrredOptions(uniform_max=1))
         assert tiny.status in (REFUTED, UNDECIDED)
 
 
