@@ -13,7 +13,6 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 from . import alexander, families, localize
 from .errors import ResourceBudgetExceeded
@@ -38,8 +37,6 @@ from .strongcheck import (
     genericity_sample,
 )
 from .verdict import PROVED, REFUTED, UNDECIDED, Verdict
-
-SCHEMA_PATH = Path(__file__).parent / "schemas" / "report.schema.json"
 
 _EXIT_FOR_STATUS = {PROVED: 0, REFUTED: 1, UNDECIDED: 2}
 

@@ -571,28 +571,44 @@ def _int_factor(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1, primes ascending.
 
     Trial division by 2..MAX_TRIAL_DIVISORS, then Pollard-Brent rho on the
-    cofactor, every factor it leaves certified by _is_prime.  Raises
-    ResourceBudgetExceeded when rho runs past MAX_RHO_STEPS or a factor is
-    a probable prime too large to certify.
+    cofactor, every factor it leaves certified by _is_prime.  A probable
+    prime too large to certify goes to rho as well, since it may be a
+    strong pseudoprime.  Raises ResourceBudgetExceeded when rho runs past
+    MAX_RHO_STEPS.
     """
     out = {}
     d = 2
     while d * d <= n and d <= MAX_TRIAL_DIVISORS:
-        while n % d == 0:
-            n //= d
-            out[d] = out.get(d, 0) + 1
+        n, k = _strip_power(n, d)
+        if k:
+            out[d] = k
         d += 1
     # every prime factor left is >= d, so a cofactor below d*d is prime
     steps = MAX_RHO_STEPS
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
-        if m < d * d or _is_prime(m):
+        try:
+            prime = m < d * d or _is_prime(m)
+        except ResourceBudgetExceeded:
+            prime = False
+        if prime:
             out[m] = out.get(m, 0) + 1
         else:
             g, steps = _rho_split(m, steps)
             pending += [g, m // g]
     return sorted(out.items())
+
+
+def _strip_power(n: int, d: int) -> tuple[int, int]:
+    """(n / d^k, k) for the largest k with d^k dividing n, found by dividing
+    by the repeated squares of d, so the cost grows with log k, not k."""
+    if n % d:
+        return n, 0
+    n, k = _strip_power(n // d, d * d)
+    if n % d:
+        return n, 2 * k + 1
+    return n // d, 2 * k + 2
 
 
 def _rho_split(n: int, steps: int) -> tuple[int, int]:
@@ -735,8 +751,10 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
     Over a Laurent ring, monomials are units, so they are stripped first
     and the result carries no monomial factor.  Over an ordinary ring the
-    gcd keeps monomial factors.  Integer content is kept either way since
-    integers other than +-1 are never units here.
+    gcd keeps monomial factors.  Integer content is dropped either way:
+    the result is primitive, a gcd up to integer factors, which coprime()
+    and divisorial_hull rely on.  Callers that need the shared integer
+    content multiply by the gcd of the two contents.
     """
     if p.ring != q.ring:
         raise ValueError("ring mismatch")

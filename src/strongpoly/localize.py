@@ -9,10 +9,12 @@ combination of the inputs, and every witness is certified coprime to the
 product of the primes before it is trusted.
 
 Generators are kept as exponent vectors; polynomials are expanded only
-inside verification, where the combination identity is replayed exactly.
+where the combination identity is checked: once when a reduction is built,
+and once when verify_principality audits it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 from .factor import coprime, is_irreducible
 from .ring import LaurentPoly, Ring, ZZ, monomial_substitute
@@ -91,35 +93,24 @@ def divisor_set_member(
 class LocalizedIdeal:
     """Ideal generated by p^s q^t monomials in the localized ring.
 
-    Construction certifies the hypotheses once: both primes irreducible
-    (exact factorization route) and coprime to each other.
+    Construction certifies the hypotheses once, through _certify: both
+    primes irreducible (exact factorization route) and coprime to each
+    other.  The two certificates are always computed here.
     """
 
     p: LaurentPoly
     q: LaurentPoly
     generators: tuple
-    p_certificate: Verdict = None
-    q_certificate: Verdict = None
+    p_certificate: Verdict = field(init=False)
+    q_certificate: Verdict = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "p", self.p.to_laurent())
-        object.__setattr__(self, "q", self.q.to_laurent())
-        if self.p.ring != self.q.ring:
-            raise ValueError("p and q must share a ring")
-        gens = tuple((int(s), int(t)) for s, t in self.generators)
-        for s, t in gens:
-            if s < 0 or t < 0:
-                raise ValueError("generator exponents must be nonnegative")
+        (p, q), gens, (p_cert, q_cert) = _certify((self.p, self.q), self.generators)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "generators", gens)
-        if self.p_certificate is None:
-            object.__setattr__(self, "p_certificate", is_irreducible(self.p, mode="laurent"))
-        if self.q_certificate is None:
-            object.__setattr__(self, "q_certificate", is_irreducible(self.q, mode="laurent"))
-        for name, cert in (("p", self.p_certificate), ("q", self.q_certificate)):
-            if cert.status != PROVED:
-                raise ValueError(f"{name} is not certified irreducible ({cert.status})")
-        if not coprime(self.p, self.q):
-            raise ValueError("p and q must be coprime")
+        object.__setattr__(self, "p_certificate", p_cert)
+        object.__setattr__(self, "q_certificate", q_cert)
 
 
 @dataclass(frozen=True)
@@ -137,12 +128,52 @@ class ReductionResult:
     combination: tuple
 
 
+def _certify(primes, generators):
+    """(primes, generators, certificates) once the reduction's hypotheses
+    hold: a common ring, every prime certified irreducible, the primes
+    pairwise coprime and one nonnegative exponent per prime in every
+    generator.  Raises ValueError otherwise."""
+    primes = tuple(p.to_laurent() for p in primes)
+    if not primes:
+        raise ValueError("need at least one prime")
+    if any(p.ring != primes[0].ring for p in primes):
+        raise ValueError("primes must share a ring")
+    gens = tuple(tuple(int(e) for e in g) for g in generators)
+    for g in gens:
+        if len(g) != len(primes):
+            raise ValueError("one exponent per prime required")
+        if any(e < 0 for e in g):
+            raise ValueError("generator exponents must be nonnegative")
+    certificates = tuple(is_irreducible(p, mode="laurent") for p in primes)
+    for p, cert in zip(primes, certificates):
+        if cert.status != PROVED:
+            raise ValueError(f"prime {p.to_text()} not certified irreducible ({cert.status})")
+    if not all(coprime(a, b) for a, b in combinations(primes, 2)):
+        raise ValueError("primes must be pairwise coprime")
+    return primes, gens, certificates
+
+
 def _power_product(primes, exps) -> LaurentPoly:
     out = LaurentPoly.one(primes[0].ring)
     for base, e in zip(primes, exps):
         if e:
             out = out * base**e
     return out
+
+
+def _combination_holds(primes, gens, result: ReductionResult) -> bool:
+    """Whether prod(primes)^generator * prod(witnesses) == sum c_i * gens_i,
+    with one combination coefficient per input."""
+    if len(result.combination) != len(gens):
+        return False
+    lhs = _power_product(primes, result.generator)
+    for w in result.witnesses:
+        lhs = lhs * w
+    rhs = LaurentPoly.zero(primes[0].ring)
+    for c, g in zip(result.combination, gens):
+        if not c.is_zero():
+            rhs = rhs + c * _power_product(primes, g)
+    return lhs == rhs
 
 
 def _unit_catalog(ring: Ring):
@@ -180,26 +211,21 @@ def _reduce_vectors(primes, gens) -> ReductionResult:
             steps.append(("dominated", m, None))
             continue
         if all(b <= a for a, b in zip(current, nxt)):
+            # prod^nxt * W == W * input_m keeps every witness in the identity
             current = nxt
             coeffs = [zero] * len(gens)
-            coeffs[m] = one
-            w_product = one
+            coeffs[m] = w_product
             steps.append(("dominates", m, None))
             continue
         mins = tuple(min(a, b) for a, b in zip(current, nxt))
         a_part = _power_product(primes, tuple(a - b for a, b in zip(current, mins)))
         b_part = _power_product(primes, tuple(a - b for a, b in zip(nxt, mins)))
-        witness = None
-        unit = None
-        for u in _unit_catalog(ring):
-            cand = a_part + u * b_part
-            if not cand.is_zero() and coprime(cand, prime_product):
-                witness, unit = cand, u
+        for unit in _unit_catalog(ring):
+            witness = a_part + unit * b_part
+            if not witness.is_zero() and coprime(witness, prime_product):
                 break
-        if witness is None:
-            raise RuntimeError(
-                "no S-unit witness found; the prime certificates must be wrong"
-            )
+        else:
+            raise RuntimeError("no S-unit witness found; the prime certificates must be wrong")
         # prod^mins * w == prod^current + u * prod^nxt; multiplying that by
         # the old witness product W turns prod^current * W into the running
         # combination, so the old coefficients carry over and the new input
@@ -210,14 +236,10 @@ def _reduce_vectors(primes, gens) -> ReductionResult:
         steps.append(("crossing", m, witness))
         current = mins
 
-    lhs = _power_product(primes, current) * w_product
-    rhs = zero
-    for c, g in zip(coeffs, gens):
-        if not c.is_zero():
-            rhs = rhs + c * _power_product(primes, g)
-    if lhs != rhs:
+    result = ReductionResult(current, tuple(witnesses), tuple(steps), tuple(coeffs))
+    if not _combination_holds(primes, gens, result):
         raise RuntimeError("reduction lost the combination identity")
-    return ReductionResult(current, tuple(witnesses), tuple(steps), tuple(coeffs))
+    return result
 
 
 def reduce_localized_ideal(ideal: LocalizedIdeal) -> ReductionResult:
@@ -228,56 +250,30 @@ def reduce_localized_ideal(ideal: LocalizedIdeal) -> ReductionResult:
 def reduce_multi_prime(primes, generators) -> ReductionResult:
     """The same reduction over any finite list of pairwise coprime
     certified irreducible primes; generators are exponent vectors."""
-    primes = tuple(p.to_laurent() for p in primes)
-    if not primes:
-        raise ValueError("need at least one prime")
-    ring = primes[0].ring
-    for p in primes:
-        if p.ring != ring:
-            raise ValueError("primes must share a ring")
-        cert = is_irreducible(p, mode="laurent")
-        if cert.status != PROVED:
-            raise ValueError(f"prime {p.to_text()} not certified irreducible ({cert.status})")
-    for i in range(len(primes)):
-        for j in range(i + 1, len(primes)):
-            if not coprime(primes[i], primes[j]):
-                raise ValueError("primes must be pairwise coprime")
-    gens = tuple(tuple(int(e) for e in g) for g in generators)
-    for g in gens:
-        if len(g) != len(primes):
-            raise ValueError("one exponent per prime required")
-        if any(e < 0 for e in g):
-            raise ValueError("generator exponents must be nonnegative")
+    primes, gens, _ = _certify(primes, generators)
     return _reduce_vectors(primes, gens)
 
 
 def verify_principality(ideal: LocalizedIdeal, gen) -> bool:
-    """Audit a claimed single generator against both inclusions.
+    """Audit a ReductionResult from its own contents; a bare (s, t) pair
+    is reduced once and audited as that result's generator.
 
-    Downward: every input must be an exact ring multiple of p^s q^t.
-    Upward: the claimed pair must match a replayed reduction, whose
-    combination identity and witness coprimality are re-checked from
-    scratch.  A pair that merely divides all inputs (such as (0, 0)) fails
-    the upward direction.
+    Downward: every input pair (a, b) must dominate (s, t), so p^s q^t
+    divides p^a q^b with quotient p^(a-s) q^(b-t); as p and q are certified
+    coprime primes, it divides no input that fails to.  Upward: the
+    combination identity holds and every witness is coprime to p*q.  A pair
+    that merely divides all inputs (such as (0, 0)) fails upward.
     """
-    if isinstance(gen, ReductionResult):
-        gen = gen.generator
-    s, t = int(gen[0]), int(gen[1])
-    if s < 0 or t < 0:
-        return False
     primes = (ideal.p, ideal.q)
-    gen_poly = _power_product(primes, (s, t))
-    for pair in ideal.generators:
-        if _power_product(primes, pair).exact_divide(gen_poly) is None:
-            return False
-    try:
-        replay = _reduce_vectors(primes, ideal.generators)
-    except RuntimeError:
+    result = gen
+    if not isinstance(gen, ReductionResult):
+        result = replace(_reduce_vectors(primes, ideal.generators), generator=tuple(gen))
+    if len(result.generator) != 2 or min(result.generator) < 0:
         return False
-    if replay.generator != (s, t):
+    s, t = result.generator
+    if any(a < s or b < t for a, b in ideal.generators):
+        return False
+    if not _combination_holds(primes, ideal.generators, result):
         return False
     prime_product = ideal.p * ideal.q
-    for w in replay.witnesses:
-        if not coprime(w, prime_product):
-            return False
-    return True
+    return all(coprime(w, prime_product) for w in result.witnesses)

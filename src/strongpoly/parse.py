@@ -46,6 +46,10 @@ MAX_NESTING = 100
 # about a second of CPython.  The test suite's largest is 16641, and
 # (1 + x1 + x2 + x3)^200 would need 2 * 10^9.
 MAX_TERM_PAIRS = 10**6
+# Largest coefficient a product may reach, in bits of its numerator or
+# denominator.  The test suite's largest is 296 bits, in (1 + x1)^300, the
+# benchmark's inputs need 4, and (3)^30000000 would need 47.5 * 10^6.
+MAX_COEFF_BITS = 10**5
 
 _TOKEN_RE = re.compile(r"\d+|x\d+|[+\-*/^()]|\S")
 
@@ -69,6 +73,13 @@ def _tokenize(text: str) -> list[_Token]:
     last_col = len(text.split("\n")[-1]) + 1
     tokens.append(_Token("END", "", last_line, last_col))
     return tokens
+
+
+def _coeff_bits(terms: dict) -> int:
+    return max(
+        (max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in terms.values()),
+        default=0,
+    )
 
 
 class _PolyParser:
@@ -133,6 +144,13 @@ class _PolyParser:
         if len(a) * len(b) > MAX_TERM_PAIRS:
             raise ResourceBudgetExceeded(
                 "parse", f"a {len(a)} by {len(b)} term product is over {MAX_TERM_PAIRS} term pairs"
+            )
+        # a coefficient of the product sums at most min(len(a), len(b))
+        # products of one coefficient from each side
+        bits = _coeff_bits(a) + _coeff_bits(b) + min(len(a), len(b)).bit_length()
+        if bits > MAX_COEFF_BITS:
+            raise ResourceBudgetExceeded(
+                "parse", f"a product's coefficients could reach {bits} bits, over {MAX_COEFF_BITS}"
             )
         return _mul_terms(a, b)
 

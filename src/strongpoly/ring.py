@@ -246,9 +246,6 @@ class LaurentPoly:
             raise ValueError("not a constant polynomial")
         return self.coeff((0,) * self.ring.nvars)
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def is_unit(self) -> bool:
         """Unit test in the ambient ring.
 

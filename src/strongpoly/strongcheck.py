@@ -31,6 +31,7 @@ its variables) and REFUTED by a bounded search over image pairs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -318,7 +319,8 @@ def check_strongly_coprime(
     irreducible while the other side misses at least one of its variables
     and uses strictly fewer variables overall.  REFUTED searches bounded
     catalogs of image tuples for the two sides separately and exhibits a
-    pair of evaluations with a nonunit common divisor.
+    pair of evaluations with a nonunit common divisor, shared integer
+    content included.
     """
     if p.ring != q.ring:
         raise ValueError("ring mismatch")
@@ -352,7 +354,10 @@ def check_strongly_coprime(
         ev_q = monomial_substitute(q, img_q, m)
         if ev_p.is_zero() or ev_q.is_zero():
             continue
-        g = poly_gcd(ev_p.to_laurent(), ev_q.to_laurent())
+        # poly_gcd is content-free, so the evaluations' shared integer
+        # content goes back in: a common integer factor is never a unit
+        content = math.gcd(ev_p.content(), ev_q.content())
+        g = poly_gcd(ev_p.to_laurent(), ev_q.to_laurent()).scale(content)
         if not g.is_unit():
             return verdict.refuted(
                 {

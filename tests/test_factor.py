@@ -1,6 +1,7 @@
 """Integer factorization of (Laurent) polynomials and gcd/coprimality."""
 
 import random
+import time
 from functools import reduce
 
 import pytest
@@ -82,6 +83,12 @@ class TestUnivariate:
         monkeypatch.setattr(factor, "MAX_RHO_STEPS", 100)
         with pytest.raises(ResourceBudgetExceeded):
             is_irreducible(mk(1, {(0,): n}))
+
+    def test_prime_powers_are_stripped_by_repeated_squares(self):
+        start = time.perf_counter()
+        assert factor._int_factor(3**80000) == [(3, 80000)]
+        assert time.perf_counter() - start < 0.5
+        assert factor._int_factor(2**5 * 3**7 * 9973**13) == [(2, 5), (3, 7), (9973, 13)]
 
     def test_probable_primes_at_the_bound_are_not_certified(self):
         # the bound is the least strong pseudoprime to all thirteen bases

@@ -1,5 +1,6 @@
 """PID reduction of exponent ideals in the coprime localization."""
 
+import dataclasses
 import random
 
 import pytest
@@ -16,10 +17,12 @@ from strongpoly import (
     ZZ,
     coprime,
     divisor_set_member,
+    is_irreducible,
     reduce_localized_ideal,
     reduce_multi_prime,
     verify_principality,
 )
+from strongpoly import localize
 from strongpoly.localize import _power_product
 
 from conftest import mk
@@ -62,6 +65,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ideal([(1, -1)])
 
+    def test_certificates_are_computed_not_handed_in(self):
+        # a PROVED verdict about R must not vouch for the reducible P*Q
+        with pytest.raises(TypeError):
+            LocalizedIdeal(P * Q, R, ((1, 1),), p_certificate=is_irreducible(R, mode="laurent"))
+        init = [f.name for f in dataclasses.fields(LocalizedIdeal) if f.init]
+        assert init == ["p", "q", "generators"]
+
     def test_ring_mismatch_rejected(self):
         other = mk(3, {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): -1}, laurent=True)
         with pytest.raises(ValueError):
@@ -87,6 +97,13 @@ class TestReduction:
         result = reduce_localized_ideal(ideal([(2, 2), (3, 4)]))
         assert result.generator == (2, 2)
         assert result.witnesses == ()
+
+    def test_dominating_input_after_a_crossing_keeps_the_witness(self):
+        gens = [(1, 3), (2, 1), (0, 0)]
+        result = reduce_localized_ideal(ideal(gens))
+        assert result.generator == (0, 0)
+        assert result.witnesses == (Q * Q + P,)
+        check_combination((P, Q), gens, result)
 
     def test_singleton(self):
         result = reduce_localized_ideal(ideal([(3, 2)]))
@@ -141,6 +158,31 @@ class TestVerify:
     def test_singleton_and_zero(self):
         assert verify_principality(ideal([(2, 0)]), (2, 0))
         assert verify_principality(ideal([(0, 0)]), (0, 0))
+
+    def test_rejects_a_swapped_witness(self):
+        I = ideal([(1, 3), (2, 1)])
+        result = reduce_localized_ideal(I)
+        forged = dataclasses.replace(result, witnesses=(P * P + Q,))
+        assert coprime(P * P + Q, P * Q)
+        assert not verify_principality(I, forged)
+
+    def test_rejects_an_altered_combination(self):
+        I = ideal([(1, 3), (2, 1)])
+        result = reduce_localized_ideal(I)
+        altered = (result.combination[0] + P,) + result.combination[1:]
+        assert not verify_principality(I, dataclasses.replace(result, combination=altered))
+        assert not verify_principality(I, dataclasses.replace(result, combination=altered[:1]))
+
+    def test_result_is_audited_without_replay_or_division(self, monkeypatch):
+        I = ideal([(1, 3), (2, 1), (0, 4)])
+        result = reduce_localized_ideal(I)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the audit must not replay or divide")
+
+        monkeypatch.setattr(localize, "_reduce_vectors", forbidden)
+        monkeypatch.setattr(LaurentPoly, "exact_divide", forbidden)
+        assert verify_principality(I, result)
 
 
 class TestMultiPrime:

@@ -217,6 +217,19 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "1000003" in proc.stdout
 
+    def test_strong_pseudoprime_above_the_bound_is_split(self):
+        # passes all thirteen Miller-Rabin bases, so only rho can refute it
+        proc = run_cli("check-irred", "3317044064679887385961981", timeout=30)
+        assert proc.returncode == 1
+        assert "1287836182261" in proc.stdout
+        assert "2575672364521" in proc.stdout
+
+    def test_huge_constant_power_is_four(self):
+        # squaring one coefficient used to run for 42 s
+        proc = run_cli("check-irred", "(3)^30000000", timeout=10)
+        assert proc.returncode == 4
+        assert "resource budget" in proc.stderr
+
     def test_oversized_parse_is_four(self):
         proc = run_cli("check-irred", "(1+x1+x2+x3)^200", timeout=10)
         assert proc.returncode == 4

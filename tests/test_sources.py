@@ -18,3 +18,43 @@ def test_no_assert_statements():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _defined_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_no_dead_module_names():
+    # a module-level function, class or assigned name that is neither
+    # exported nor used anywhere else in the package is dead code
+    package = Path(strongpoly.__file__).parent
+    statements = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        statements += [(path, stmt) for stmt in tree.body]
+    uses = {}
+    for index, (_, stmt) in enumerate(statements):
+        for name in _referenced_names(stmt):
+            uses.setdefault(name, set()).add(index)
+    dead = []
+    for index, (path, stmt) in enumerate(statements):
+        if path.name == "__init__.py":
+            continue
+        for name in _defined_names(stmt):
+            exempt = name in strongpoly.__all__ or (name.startswith("__") and name.endswith("__"))
+            if not exempt and not uses.get(name, set()) - {index}:
+                dead.append(f"{path.name}:{stmt.lineno} {name}")
+    assert dead == []

@@ -140,6 +140,12 @@ class TestStronglyCoprime:
         v = check_strongly_coprime(p, q)
         assert v.status == REFUTED
 
+    def test_shared_integer_content_refuted(self):
+        # every evaluation of the pair shares the non-unit 2
+        v = check_strongly_coprime(mk(1, {(1,): 2, (0,): 2}), mk(1, {(1,): 4, (0,): 6}))
+        assert v.status == REFUTED
+        assert v.witness["common_divisor"].to_text() == "2"
+
     def test_out_of_reach_pair_is_undecided(self):
         p = mk(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         q = mk(2, {(0, 0): 2, (1, 0): 1, (0, 1): -1})
