@@ -25,8 +25,8 @@ from .alexander import (
     torsion_alexander_poly,
     verify_ribbon_presentation,
 )
-from .errors import ResourceBudgetExceeded
-from .factor import FactorOptions, Factorization, coprime, is_irreducible, poly_gcd
+from .errors import Budgets, ResourceBudgetExceeded
+from .factor import Factorization, coprime, is_irreducible, poly_gcd
 from .families import (
     F1,
     F2,
@@ -37,7 +37,13 @@ from .families import (
     family_corpus,
     slice_polynomial,
 )
-from .groebner import GBOptions, IdealBasis, buchberger, laurent_member, only_trivial_solution
+from .groebner import (
+    IdealBasis,
+    buchberger,
+    laurent_member,
+    only_trivial_solution,
+    radical_member,
+)
 from .localize import (
     DivisorSetQuery,
     LocalizedIdeal,
@@ -66,7 +72,6 @@ from .ring import (
 from .strongcheck import (
     GenericityReport,
     PolyVector,
-    StrongIrredOptions,
     check_strongly_coprime,
     check_strongly_irreducible,
     check_vector_coprime,
@@ -79,13 +84,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlanchfieldValue",
+    "Budgets",
     "DivisorSetQuery",
     "F1",
     "F2",
-    "FactorOptions",
     "Factorization",
     "FamilySpec",
-    "GBOptions",
     "GenericityReport",
     "HomogPoly",
     "IdealBasis",
@@ -101,7 +105,6 @@ __all__ = [
     "ResourceBudgetExceeded",
     "RibbonReport",
     "Ring",
-    "StrongIrredOptions",
     "UNDECIDED",
     "Verdict",
     "ZZ",
@@ -141,6 +144,7 @@ __all__ = [
     "poly_gcd",
     "power_substitute",
     "presentation_rank",
+    "radical_member",
     "reduce_localized_ideal",
     "reduce_multi_prime",
     "slice_polynomial",

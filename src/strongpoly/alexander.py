@@ -25,6 +25,11 @@ from .verdict import PROVED
 # Cofactor expansion is fine for the minor sizes that arise from braid
 # presentations; the cap keeps a degenerate request from exploding.
 MAX_MINORS = 5000
+# Letters the braid action rewrites, summed over crossings.  Each crossing
+# rewrites every letter of every meridian image, so the work grows
+# quadratically in the word length: s1^k on two strands rewrites about
+# 2*k^2 letters, and s1^1000 is the longest power of s1 within the cap.
+MAX_BRAID_LETTERS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -274,7 +279,13 @@ def _braid_action(word, strands: int):
             raise ValueError(f"crossing {a} invalid for {strands} strands")
     images = {g: [g] for g in range(1, strands + 1)}
     perm = list(range(strands + 1))  # perm[j] = end position of strand j
+    rewritten = 0
     for a in word:
+        rewritten += sum(len(w) for w in images.values())
+        if rewritten > MAX_BRAID_LETTERS:
+            raise ResourceBudgetExceeded(
+                "braid-words", f"braid action rewrote more than {MAX_BRAID_LETTERS} letters"
+            )
         i = abs(a)
         new = {}
         for g, w in images.items():
@@ -286,8 +297,6 @@ def _braid_action(word, strands: int):
         images = new
         swap = {i: i + 1, i + 1: i}
         perm = [swap.get(p, p) for p in perm]
-        if sum(len(w) for w in images.values()) > 200_000:
-            raise ResourceBudgetExceeded("braid-words", "meridian images grew too large")
     return images, perm
 
 
@@ -474,7 +483,7 @@ def blanchfield_self_link_witness(p: LaurentPoly, f: LaurentPoly) -> Blanchfield
         raise ValueError("f must live in the same ring as p")
     if pl.is_unit():
         raise ValueError("p is a unit, the torsion module is trivial")
-    verdict = is_irreducible(pl, mode="laurent")
+    verdict = is_irreducible(pl)
     if verdict.status != PROVED:
         raise ValueError(f"p is not certified irreducible ({verdict.status})")
     pbar = pl.bar()

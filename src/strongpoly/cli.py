@@ -11,14 +11,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields
 from fractions import Fraction
 
 from . import alexander, families, localize
-from .errors import ResourceBudgetExceeded
-from .factor import DEFAULT_OPTIONS as DEFAULT_FACTOR_OPTIONS
+from .errors import Budgets, ResourceBudgetExceeded
 from .factor import is_irreducible
-from .groebner import DEFAULT_OPTIONS as DEFAULT_GB_OPTIONS
 from .groebner import IdealBasis
 from .parse import (
     ParseError,
@@ -29,7 +27,6 @@ from .parse import (
 )
 from .ring import LaurentPoly, Ring
 from .strongcheck import (
-    DEFAULT_STRONG_OPTIONS,
     PolyVector,
     check_strongly_coprime,
     check_strongly_irreducible,
@@ -89,16 +86,11 @@ def _parse_shared(texts, laurent: bool, nvars=None) -> list[LaurentPoly]:
     return [parse_polynomial(t, nvars=n, laurent=laurent) for t in texts]
 
 
-def _strong_options(args):
-    """The budget flags over the defaults; check-irred has --max-degree only."""
-    opts = DEFAULT_STRONG_OPTIONS
-    if getattr(args, "gb_steps", None) is not None:
-        opts = replace(opts, gb=replace(DEFAULT_GB_OPTIONS, max_pairs=args.gb_steps))
-    if args.max_degree is not None:
-        opts = replace(opts, factor=replace(DEFAULT_FACTOR_OPTIONS, max_kron_degree=args.max_degree))
-    if getattr(args, "max_k", None) is not None:
-        opts = replace(opts, uniform_max=args.max_k)
-    return opts
+def _budgets(args) -> Budgets:
+    """Budgets from the budget flags a subcommand declares (each flag's
+    dest is a Budgets field); flags not given keep their defaults."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(Budgets)}
+    return Budgets(**{name: v for name, v in given.items() if v is not None})
 
 
 def _family_member(args) -> LaurentPoly:
@@ -119,20 +111,19 @@ def _read_stdin_json():
 
 def _cmd_check_irred(args):
     (p,) = _parse_shared([args.poly], args.laurent, args.vars)
-    mode = "laurent" if args.laurent else "ordinary"
-    v = is_irreducible(p, mode=mode, options=_strong_options(args).factor)
+    v = is_irreducible(p, _budgets(args))
     return v.status, _encode(v), _verdict_lines(v), _EXIT_FOR_STATUS[v.status]
 
 
 def _cmd_check_strong_irred(args):
     (p,) = _parse_shared([args.poly], args.laurent, args.vars)
-    v = check_strongly_irreducible(p, _strong_options(args))
+    v = check_strongly_irreducible(p, _budgets(args))
     return v.status, _encode(v), _verdict_lines(v), _EXIT_FOR_STATUS[v.status]
 
 
 def _cmd_check_coprime(args):
     p, q = _parse_shared([args.p, args.q], args.laurent, args.vars)
-    v = check_strongly_coprime(p, q, _strong_options(args))
+    v = check_strongly_coprime(p, q, _budgets(args))
     return v.status, _encode(v), _verdict_lines(v), _EXIT_FOR_STATUS[v.status]
 
 
@@ -142,7 +133,7 @@ def _cmd_check_vector_coprime(args):
     polys = _parse_shared(left + right, args.laurent, args.vars)
     P = PolyVector(tuple(polys[: len(left)]))
     Q = PolyVector(tuple(polys[len(left):]))
-    v = check_vector_coprime(P, Q, _strong_options(args))
+    v = check_vector_coprime(P, Q, _budgets(args))
     return v.status, _encode(v), _verdict_lines(v), _EXIT_FOR_STATUS[v.status]
 
 
@@ -174,12 +165,16 @@ def _cmd_elementary_ideal(args):
 
 def _cmd_divisorial_hull(args):
     data = _read_stdin_json()
-    if not isinstance(data, dict) or "generators" not in data or "vars" not in data:
+    try:
+        n = int(data["vars"])
+        texts = data["generators"]
+    except (KeyError, TypeError, ValueError):
+        texts = None
+    if not isinstance(texts, list):
         raise ValueError('divisorial-hull reads {"vars": n, "generators": [...]} from stdin')
-    n = int(data["vars"])
     ring = Ring(n, laurent=False)
     gens = []
-    for text in data["generators"]:
+    for text in texts:
         g = parse_polynomial(str(text), nvars=n, laurent=True)
         if not g.is_zero():
             gens.append(alexander.canonical_associate(g).to_ordinary())
@@ -288,16 +283,13 @@ def _cmd_reduce_ideal(args):
 
 
 def _cmd_genericity(args):
-    gb = DEFAULT_GB_OPTIONS
-    if args.gb_steps is not None:
-        gb = replace(gb, max_pairs=args.gb_steps)
     report = genericity_sample(
         args.vars,
         args.degree,
         args.trials,
         coeff_box=args.coeff_box,
         rng_seed=args.seed,
-        gb_options=gb,
+        budgets=_budgets(args),
     )
     rate = f"{report.pass_rate:.4f}"
     result = {
@@ -335,13 +327,18 @@ def _budget(text: str) -> int:
     return value
 
 
-def _add_budget_flags(sub, kronecker_only=False):
-    sub.add_argument(
-        "--max-degree", type=_budget, help="Kronecker image degree cap for multivariate factoring"
-    )
-    if not kronecker_only:
-        sub.add_argument("--max-k", type=_budget, help="uniform power bound for refutation search")
-        sub.add_argument("--gb-steps", type=_budget, help="Groebner pair budget")
+# flag -> (Budgets field it sets, help); a subcommand declares the flags it honours
+_BUDGET_FLAGS = {
+    "--max-degree": ("max_kron_degree", "Kronecker image degree cap for multivariate factoring"),
+    "--max-k": ("uniform_max", "uniform power bound for refutation search"),
+    "--gb-steps": ("max_pairs", "Groebner pair budget"),
+}
+
+
+def _add_budget_flags(sub, *flags):
+    for flag in flags or _BUDGET_FLAGS:
+        dest, help_text = _BUDGET_FLAGS[flag]
+        sub.add_argument(flag, dest=dest, type=_budget, help=help_text)
 
 
 def _add_common(sub, vars_flag=True):
@@ -362,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("check-irred", help="decide irreducibility over ZZ")
     s.add_argument("poly")
     _add_common(s)
-    _add_budget_flags(s, kronecker_only=True)
+    _add_budget_flags(s, "--max-degree")
     s.set_defaults(handler=_cmd_check_irred)
 
     s = subs.add_parser("check-strong-irred", help="certify strong irreducibility")
@@ -400,12 +397,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("elementary-ideal", help="minor ideal of a presentation matrix")
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--stdin", action="store_true", help="read the matrix JSON from stdin")
+    s.add_argument(
+        "--stdin", action="store_true", required=True, help="read the matrix JSON from stdin"
+    )
     _add_common(s, vars_flag=False)
     s.set_defaults(handler=_cmd_elementary_ideal)
 
     s = subs.add_parser("divisorial-hull", help="gcd hull of an ideal's generators")
-    s.add_argument("--stdin", action="store_true", help="read generators JSON from stdin")
+    s.add_argument(
+        "--stdin", action="store_true", required=True, help="read generators JSON from stdin"
+    )
     _add_common(s, vars_flag=False)
     s.set_defaults(handler=_cmd_divisorial_hull)
 
@@ -448,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--coeff-box", type=int, default=100)
-    s.add_argument("--gb-steps", type=_budget, help="Groebner pair budget")
+    _add_budget_flags(s, "--gb-steps")
     s.add_argument("--json", action="store_true")
     s.set_defaults(handler=_cmd_genericity)
 

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from . import verdict
-from .errors import ResourceBudgetExceeded
+from .errors import Budgets, ResourceBudgetExceeded
 from .ring import (
     ZZ,
     LaurentPoly,
@@ -43,14 +43,6 @@ from .ring import (
     laurent_normalize,
 )
 from .verdict import Verdict
-
-
-@dataclass(frozen=True)
-class FactorOptions:
-    max_kron_degree: int = 240
-
-
-DEFAULT_OPTIONS = FactorOptions()
 
 
 @dataclass(frozen=True)
@@ -407,7 +399,8 @@ MAX_RHO_STEPS = 3_000_000
 # Factoring budgets: the largest univariate degree Zassenhaus takes on, the
 # most Kronecker-image factors the lift recombines, the subsets either
 # recombination tries, and the degree-preserving points the specialization
-# route evaluates.  Only the Kronecker image degree is an option.
+# route evaluates.  Only the Kronecker image degree is settable, as
+# Budgets.max_kron_degree.
 MAX_UV_DEGREE = 320
 MAX_KRON_ITEMS = 14
 MAX_KRON_TRIALS = 20_000
@@ -823,7 +816,7 @@ def _specialization_proved(p: LaurentPoly) -> bool:
     return False
 
 
-def _kronecker_split(p: LaurentPoly, options: FactorOptions):
+def _kronecker_split(p: LaurentPoly, max_degree: int):
     """('split', (g, h)) | ('irreducible', None) | ('resource', tag)."""
     used = p.used_vars()
     degs = {v: p.degree_in(v) for v in used}
@@ -834,7 +827,7 @@ def _kronecker_split(p: LaurentPoly, options: FactorOptions):
         weight[v] = acc
         acc *= D
     total = sum(degs[v] * weight[v] for v in used)
-    if total > options.max_kron_degree:
+    if total > max_degree:
         return ("resource", f"kronecker image degree {total} exceeds budget")
     dense = [0] * (total + 1)
     for m, c in p.term_dict().items():
@@ -886,28 +879,20 @@ def _kronecker_split(p: LaurentPoly, options: FactorOptions):
     return ("irreducible", None)
 
 
-def is_irreducible(
-    p: LaurentPoly, mode: str = "ordinary", options: FactorOptions = DEFAULT_OPTIONS
-) -> Verdict:
+def is_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> Verdict:
     """Three-valued irreducibility check over Z.
 
-    mode="laurent" works up to Laurent units: monomial factors are divided
-    out first and monomials themselves are rejected as units.  REFUTED
-    verdicts carry factors whose product gives back the input exactly.
+    A polynomial in a Laurent ring is judged up to Laurent units: monomial
+    factors are divided out first and monomials themselves are rejected as
+    units.  In an ordinary ring a monomial factor is a factor like any
+    other.  REFUTED verdicts carry factors whose product gives back the
+    input exactly, in the input's ring.
     """
     _require_zz(p)
     if p.is_zero():
         raise ValueError("zero polynomial has no irreducibility status")
-    if mode not in ("ordinary", "laurent"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if p.ring.laurent and mode != "laurent":
-        raise ValueError("a Laurent-ring polynomial needs mode='laurent'")
 
-    unit_mono = (0,) * p.ring.nvars
-    if mode == "laurent":
-        q, unit_mono = laurent_normalize(p)
-    else:
-        q = p
+    q, unit_mono = laurent_normalize(p) if p.ring.laurent else (p, (0,) * p.ring.nvars)
 
     def with_unit(factors: list[LaurentPoly]) -> list[LaurentPoly]:
         """Reattach the stripped monomial to the first factor; exact product."""
@@ -960,7 +945,7 @@ def is_irreducible(
     if _specialization_proved(q):
         return verdict.proved("specialization")
 
-    status, payload = _kronecker_split(q, options)
+    status, payload = _kronecker_split(q, budgets.max_kron_degree)
     if status == "split":
         g, h = payload
         return verdict.refuted({"factors": with_unit([g, h])})

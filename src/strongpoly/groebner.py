@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ResourceBudgetExceeded
+from .errors import Budgets, ResourceBudgetExceeded
 from .ring import (
     QQ,
     LaurentPoly,
@@ -32,16 +32,8 @@ from .ring import (
 
 
 # Largest reducer list Buchberger keeps before giving up; the S-pair
-# budget is the option.
+# budget is Budgets.max_pairs.
 MAX_BASIS = 500
-
-
-@dataclass(frozen=True)
-class GBOptions:
-    max_pairs: int = 20_000
-
-
-DEFAULT_OPTIONS = GBOptions()
 
 
 @dataclass(frozen=True)
@@ -181,7 +173,7 @@ def _interreduce(reducers: list) -> list:
     return out
 
 
-def buchberger(I: IdealBasis, options: GBOptions = DEFAULT_OPTIONS) -> GroebnerBasis:
+def buchberger(I: IdealBasis, budgets: Budgets = Budgets()) -> GroebnerBasis:
     """Reduced Groebner basis of I, graded lex order.
 
     Raises ResourceBudgetExceeded when the pair queue or basis outgrows
@@ -210,9 +202,9 @@ def buchberger(I: IdealBasis, options: GBOptions = DEFAULT_OPTIONS) -> GroebnerB
         _, i, j, L = heapq.heappop(pairs)
         handled.add((i, j))
         popped += 1
-        if popped > options.max_pairs:
+        if popped > budgets.max_pairs:
             raise ResourceBudgetExceeded(
-                "gb-pairs", f"S-pair budget {options.max_pairs} exceeded"
+                "gb-pairs", f"S-pair budget {budgets.max_pairs} exceeded"
             )
         # coprime-leads criterion
         if all(min(a, b) == 0 for a, b in zip(reducers[i][0], reducers[j][0])):
@@ -266,15 +258,12 @@ def ideal_member(f: LaurentPoly, G: GroebnerBasis) -> bool:
     return normal_form(f, G).is_zero()
 
 
-def radical_member(
-    f: LaurentPoly,
-    I: IdealBasis,
-    options: GBOptions = DEFAULT_OPTIONS,
-) -> bool:
+def radical_member(f: LaurentPoly, I: IdealBasis) -> bool:
     """Membership in the radical via the localization trick.
 
     f is in rad(I) iff 1 lies in the ideal generated by I and 1 - y*f in
-    one extra variable y.
+    one extra variable y.  Nothing in the package calls it: it is the
+    independent reference that only_trivial_solution is tested against.
     """
     if f.ring.nvars != I.ring.nvars:
         raise ValueError("variable count mismatch")
@@ -284,23 +273,17 @@ def radical_member(
     aux = {m + (1,): -c for m, c in _to_int_dict(f).items()}
     aux[(0,) * (n + 1)] = 1
     gens.append(LaurentPoly(ext, aux))
-    G = buchberger(IdealBasis(ext, tuple(gens)), options)
-    return G.is_unit_ideal()
+    return buchberger(IdealBasis(ext, tuple(gens))).is_unit_ideal()
 
 
-def only_trivial_solution(
-    I: IdealBasis,
-    method: str = "finiteness",
-    options: GBOptions = DEFAULT_OPTIONS,
-) -> bool:
+def only_trivial_solution(I: IdealBasis, budgets: Budgets = Budgets()) -> bool:
     """Whether the homogeneous system I has no nonzero complex solution.
 
-    Both methods compute Groebner bases; "finiteness" reads the answer off
-    one basis (a pure power of every variable must appear among the leading
-    monomials, the standard zero-dimensionality test, which for a
-    homogeneous ideal pins the zero set inside the origin), while "radical"
-    checks radical membership of every variable separately.  The two agree;
-    tests exercise that.
+    Reads the answer off one Groebner basis: a pure power of every variable
+    must appear among the leading monomials.  That is the standard
+    zero-dimensionality test, and for a homogeneous ideal it pins the zero
+    set inside the origin.  The tests check it against radical_member, which
+    asks whether every variable lies in the radical of I.
     """
     for g in I.generators:
         if not g.is_homogeneous():
@@ -310,13 +293,7 @@ def only_trivial_solution(
         return True
     if not I.generators:
         return False
-    if method == "radical":
-        return all(
-            radical_member(LaurentPoly.variable(I.ring, i), I, options) for i in range(n)
-        )
-    if method != "finiteness":
-        raise ValueError(f"unknown method {method!r}")
-    G = buchberger(I, options)
+    G = buchberger(I, budgets)
     if G.is_unit_ideal():
         return True
     covered = [False] * n

@@ -16,9 +16,10 @@ and once when verify_principality audits it.
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
+from .errors import Budgets
 from .factor import coprime, is_irreducible
 from .ring import LaurentPoly, Ring, ZZ, monomial_substitute
-from .strongcheck import DEFAULT_STRONG_OPTIONS, StrongIrredOptions, check_strongly_coprime
+from .strongcheck import check_strongly_coprime
 from .verdict import PROVED, Verdict, proved, refuted, undecided
 
 # Deterministic catalog of monomial units tried when a crossing witness
@@ -62,9 +63,7 @@ class DivisorSetQuery:
                     raise ValueError("zero exponent vector is not a group element image")
 
 
-def divisor_set_member(
-    query: DivisorSetQuery, options: StrongIrredOptions = DEFAULT_STRONG_OPTIONS
-) -> Verdict:
+def divisor_set_member(query: DivisorSetQuery, budgets: Budgets = Budgets()) -> Verdict:
     """Membership of the candidate product in the divisor set of p.
 
     Each factor is evaluated at its images first.  PROVED when every
@@ -77,7 +76,7 @@ def divisor_set_member(
     factor_rules = []
     for idx, (q, images) in enumerate(query.candidate):
         ev = monomial_substitute(q.to_laurent(), images, n).to_domain(ZZ)
-        sub = check_strongly_coprime(p, ev, options)
+        sub = check_strongly_coprime(p, ev, budgets)
         if sub.is_refuted:
             return refuted(
                 {"factor_index": idx, "coprimality": sub.witness},
@@ -144,7 +143,7 @@ def _certify(primes, generators):
             raise ValueError("one exponent per prime required")
         if any(e < 0 for e in g):
             raise ValueError("generator exponents must be nonnegative")
-    certificates = tuple(is_irreducible(p, mode="laurent") for p in primes)
+    certificates = tuple(is_irreducible(p) for p in primes)
     for p, cert in zip(primes, certificates):
         if cert.status != PROVED:
             raise ValueError(f"prime {p.to_text()} not certified irreducible ({cert.status})")

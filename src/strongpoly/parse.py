@@ -318,5 +318,8 @@ def parse_matrix_json(data: dict):
     else:
         if "cols" not in data:
             raise ValueError('an empty matrix needs a "cols" count')
-        ncols = int(data["cols"])
+        try:
+            ncols = int(data["cols"])
+        except (TypeError, ValueError):
+            raise ValueError('"cols" must be an integer') from None
     return ModulePresentation(ring, tuple(rows), ncols)

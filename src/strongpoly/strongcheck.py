@@ -33,18 +33,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import verdict
-from .errors import ResourceBudgetExceeded
-from .factor import DEFAULT_OPTIONS as DEFAULT_FACTOR_OPTIONS
-from .factor import FactorOptions, is_irreducible, poly_gcd
-from .groebner import (
-    DEFAULT_OPTIONS as DEFAULT_GB_OPTIONS,
-    GBOptions,
-    IdealBasis,
-    only_trivial_solution,
-)
+from .errors import Budgets, ResourceBudgetExceeded
+from .factor import is_irreducible, poly_gcd
+from .groebner import IdealBasis, only_trivial_solution
 from .ring import (
     ZZ,
     HomogPoly,
@@ -68,18 +62,6 @@ BOX_MAX = 4
 MAX_BOX_CANDIDATES = 256
 # Strong coprimality: monomial-image tuples listed per side.
 COPRIME_CATALOG_CAP = 40
-
-
-@dataclass(frozen=True)
-class StrongIrredOptions:
-    """Budgets for the criterion route and the refutation search."""
-
-    uniform_max: int = 6
-    gb: GBOptions = field(default_factory=lambda: DEFAULT_GB_OPTIONS)
-    factor: FactorOptions = field(default_factory=lambda: DEFAULT_FACTOR_OPTIONS)
-
-
-DEFAULT_STRONG_OPTIONS = StrongIrredOptions()
 
 
 @dataclass(frozen=True)
@@ -128,19 +110,19 @@ def _compress(p: LaurentPoly) -> tuple[LaurentPoly, tuple[int, ...]]:
     return LaurentPoly(ring, out), used
 
 
-def _criterion_holds(q: LaurentPoly, options: StrongIrredOptions) -> bool:
+def _criterion_holds(q: LaurentPoly, budgets: Budgets) -> bool:
     """True when the singular-locus system of homogenize(q) is trivial."""
-    system = criterion_system(homogenize(q))
-    return only_trivial_solution(system, options=options.gb)
+    return only_trivial_solution(criterion_system(homogenize(q)), budgets)
 
 
-def check_strongly_irreducible(
-    p: LaurentPoly, options: StrongIrredOptions = DEFAULT_STRONG_OPTIONS
-) -> Verdict:
+def check_strongly_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> Verdict:
     """Trichotomy check; see the module docstring for the routes.
 
     Monomial factors are Laurent units and are discarded up front, so the
     answer concerns the polynomial modulo units even in an ordinary ring.
+    budgets.max_pairs caps each criterion run, budgets.uniform_max the
+    uniform powers of the refutation search, and budgets.max_kron_degree
+    each irreducibility check of a substituted polynomial.
     """
     if p.ring.domain != ZZ:
         raise ValueError("strong irreducibility checks run over ZZ")
@@ -156,7 +138,7 @@ def check_strongly_irreducible(
 
     if m == 0:
         c = q.constant_value()
-        inner = is_irreducible(LaurentPoly.constant(Ring(1), c), options=options.factor)
+        inner = is_irreducible(LaurentPoly.constant(Ring(1), c), budgets)
         if inner.is_proved:
             return verdict.proved("constant-prime", constant=c)
         t_full = (1,) * p.ring.nvars
@@ -166,7 +148,7 @@ def check_strongly_irreducible(
     if m >= 2:
         budget_hit = None
         try:
-            if _criterion_holds(q, options):
+            if _criterion_holds(q, budgets):
                 return verdict.proved(
                     "criterion", side="p", effective_vars=m, degree=q.total_degree()
                 )
@@ -174,7 +156,7 @@ def check_strongly_irreducible(
             budget_hit = exc
         qbar, _ = laurent_normalize(q.bar())
         try:
-            if _criterion_holds(qbar, options):
+            if _criterion_holds(qbar, budgets):
                 # bar is x_i -> 1/x_i; it permutes the power substitutions,
                 # so a certificate for bar(p) certifies p as well.
                 return verdict.proved(
@@ -187,7 +169,7 @@ def check_strongly_irreducible(
     else:
         notes["univariate"] = True
 
-    refutation, search_notes = _refutation_search(q, options)
+    refutation, search_notes = _refutation_search(q, budgets)
     notes.update(search_notes)
     if refutation is not None:
         t, factors = refutation
@@ -228,7 +210,7 @@ def _ambient_factors(
     return out
 
 
-def _refutation_search(q: LaurentPoly, options: StrongIrredOptions):
+def _refutation_search(q: LaurentPoly, budgets: Budgets):
     """Look for t with q(x^t) reducible; q ordinary, primitive in each var.
 
     Returns ((t, factors) | None, notes).  Uniform powers come first since
@@ -246,7 +228,7 @@ def _refutation_search(q: LaurentPoly, options: StrongIrredOptions):
         notes["substitutions_tried"] += 1
         sub = power_substitute(q, t)
         try:
-            v = is_irreducible(sub, mode="laurent", options=options.factor)
+            v = is_irreducible(sub, budgets)
         except ResourceBudgetExceeded as exc:
             notes.setdefault("search_resource", exc.kind)
             return None
@@ -256,7 +238,7 @@ def _refutation_search(q: LaurentPoly, options: StrongIrredOptions):
             notes.setdefault("search_resource", v.reason)
         return None
 
-    for k in range(1, options.uniform_max + 1):
+    for k in range(1, budgets.uniform_max + 1):
         t = (k,) * m
         factors = try_t(t)
         if factors is not None:
@@ -310,9 +292,7 @@ def _image_catalog(m: int, nvars_out: int) -> list[tuple[tuple[int, ...], ...]]:
     return out[:COPRIME_CATALOG_CAP]
 
 
-def check_strongly_coprime(
-    p: LaurentPoly, q: LaurentPoly, options: StrongIrredOptions = DEFAULT_STRONG_OPTIONS
-) -> Verdict:
+def check_strongly_coprime(p: LaurentPoly, q: LaurentPoly, budgets: Budgets = Budgets()) -> Verdict:
     """Certify or refute strong coprimality of p and q.
 
     PROVED (rule "fewer-variables") needs one side certified strongly
@@ -335,7 +315,7 @@ def check_strongly_coprime(
         uf = set(first.used_vars())
         us = set(second.used_vars())
         if len(us) < len(uf) and (uf - us):
-            sub = check_strongly_irreducible(first, options)
+            sub = check_strongly_irreducible(first, budgets)
             if sub.is_proved:
                 return verdict.proved(
                     "fewer-variables",
@@ -371,9 +351,7 @@ def check_strongly_coprime(
     return verdict.undecided("coprimality-search-exhausted", pairs_tried=pairs_tried, **notes)
 
 
-def check_vector_coprime(
-    P: PolyVector, Q: PolyVector, options: StrongIrredOptions = DEFAULT_STRONG_OPTIONS
-) -> Verdict:
+def check_vector_coprime(P: PolyVector, Q: PolyVector, budgets: Budgets = Budgets()) -> Verdict:
     """Existential semantics: coprime at some index proves the vectors coprime.
 
     REFUTED therefore needs a refutation at every index; anything else
@@ -383,7 +361,7 @@ def check_vector_coprime(
         raise ValueError(f"length mismatch: {len(P)} vs {len(Q)}")
     per_index = []
     for k, (pk, qk) in enumerate(zip(P.entries, Q.entries)):
-        v = check_strongly_coprime(pk, qk, options)
+        v = check_strongly_coprime(pk, qk, budgets)
         if v.is_proved:
             return verdict.proved("componentwise", index=k, inner_rule=v.rule)
         per_index.append(v)
@@ -420,7 +398,7 @@ def genericity_sample(
     trials: int,
     coeff_box: int = 100,
     rng_seed: int = 0,
-    gb_options: GBOptions = DEFAULT_GB_OPTIONS,
+    budgets: Budgets = Budgets(),
 ) -> GenericityReport:
     """Sample random homogeneous polynomials and report the criterion pass rate.
 
@@ -455,7 +433,7 @@ def genericity_sample(
             }
         P = HomogPoly(LaurentPoly(ring, terms), degree)
         try:
-            if only_trivial_solution(criterion_system(P), options=gb_options):
+            if only_trivial_solution(criterion_system(P), budgets):
                 passes += 1
         except ResourceBudgetExceeded:
             pass

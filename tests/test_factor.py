@@ -139,27 +139,25 @@ class TestUnivariate:
 
 
 class TestModes:
-    def test_laurent_ring_requires_laurent_mode(self):
+    def test_laurent_ring_selects_laurent_behaviour(self):
+        # x1^-1 * (1 + x1*x2): the monomial is a unit only in a Laurent ring
         p = mk(2, {(-1, 0): 1, (0, 1): 1}, laurent=True)
-        with pytest.raises(ValueError):
-            is_irreducible(p)
-        assert is_irreducible(p, mode="laurent").status == PROVED
+        assert is_irreducible(p).status == PROVED
+        q = mk(2, {(1, 0): 1, (2, 1): 1})  # x1 * (1 + x1*x2)
+        assert is_irreducible(q).status == REFUTED
+        assert is_irreducible(q.to_laurent()).status == PROVED
 
     def test_monomials_are_laurent_units(self):
         x1 = mk(2, {(1, 0): 1})
         assert is_irreducible(x1).status == PROVED
         with pytest.raises(ValueError):
-            is_irreducible(x1, mode="laurent")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            is_irreducible(mk(1, {(1,): 1, (0,): 1}), mode="both")
+            is_irreducible(x1.to_laurent())
 
     def test_monomial_unit_stripping(self):
         # x1^-2 * x2 * (1 + x1 - x2) is irreducible up to units
         core = mk(2, {(0, 0): 1, (1, 0): 1, (0, 1): -1}, laurent=True)
         p = core.mul_monomial((-2, 1))
-        v = is_irreducible(p, mode="laurent")
+        v = is_irreducible(p)
         assert v.status == PROVED
 
     def test_ordinary_mode_sees_monomial_factors(self):
@@ -171,7 +169,7 @@ class TestModes:
         a = mk(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}, laurent=True)
         b = mk(2, {(0, 0): 1, (1, 1): 1}, laurent=True)
         p = (a * b).mul_monomial((-1, 0))
-        fs = reassembles(p, is_irreducible(p, mode="laurent"))
+        fs = reassembles(p, is_irreducible(p))
         assert all(f.ring.laurent for f in fs)
 
 
@@ -179,7 +177,7 @@ class TestMultivariate:
     def test_hyperbola_irreducible(self):
         p = mk(2, {(1, 1): 1, (0, 0): -1})
         assert is_irreducible(p).status == PROVED
-        assert is_irreducible(p.to_laurent(), mode="laurent").status == PROVED
+        assert is_irreducible(p.to_laurent()).status == PROVED
 
     def test_product_refuted_exactly(self):
         a = mk(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})

@@ -68,7 +68,7 @@ class TestConstruction:
     def test_certificates_are_computed_not_handed_in(self):
         # a PROVED verdict about R must not vouch for the reducible P*Q
         with pytest.raises(TypeError):
-            LocalizedIdeal(P * Q, R, ((1, 1),), p_certificate=is_irreducible(R, mode="laurent"))
+            LocalizedIdeal(P * Q, R, ((1, 1),), p_certificate=is_irreducible(R))
         init = [f.name for f in dataclasses.fields(LocalizedIdeal) if f.init]
         assert init == ["p", "q", "generators"]
 

@@ -1,5 +1,6 @@
 """Text grammar and the command-line surface."""
 
+import io
 import json
 import math
 import subprocess
@@ -261,6 +262,9 @@ class TestExitCodes:
             ["check-strong-irred", "1 + x1 - x2", "--max-k", "0"],
             ["check-coprime", "1 + x1 - x2", "x3", "--max-degree", "0"],
             ["genericity", "--vars", "3", "--degree", "2", "--trials", "2", "--gb-steps", "0"],
+            # without --stdin these used to block on the terminal
+            ["divisorial-hull"],
+            ["elementary-ideal", "--k", "0"],
         ],
     )
     def test_usage_errors_are_three(self, argv, capsys):
@@ -270,6 +274,44 @@ class TestExitCodes:
     def test_budget_flags_are_applied(self, capsys):
         assert cli.main(["check-strong-irred", "1 + x1 - x2", "--gb-steps", "1"]) == 2
         assert "resource-gb-pairs" in capsys.readouterr().out
+        # x1 + 4 is refuted at the uniform power k = 4, which --max-k 3 skips
+        assert cli.main(["check-strong-irred", "x1 + 4"]) == 1
+        assert cli.main(["check-strong-irred", "x1 + 4", "--max-k", "3"]) == 2
+        # a product of two linear forms with a Kronecker image of degree 12
+        split = "x1^2 - x2^2 + x1 + 3*x2 - 2"
+        assert cli.main(["check-irred", split]) == 1
+        capsys.readouterr()
+        assert cli.main(["check-irred", split, "--max-degree", "4"]) == 2
+        assert "resource-kronecker" in capsys.readouterr().out
+        sample = ["genericity", "--vars", "3", "--degree", "2", "--trials", "5"]
+        assert cli.main(sample) == 0
+        assert "passes: 5/5" in capsys.readouterr().out
+        assert cli.main(sample + ["--gb-steps", "1"]) == 0
+        assert "passes: 0/5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, data",
+        [
+            (["divisorial-hull", "--stdin"], {"vars": None, "generators": ["x1"]}),
+            (["divisorial-hull", "--stdin"], {"vars": [], "generators": ["x1"]}),
+            (["divisorial-hull", "--stdin"], {"vars": 2, "generators": 5}),
+            (["elementary-ideal", "--k", "0", "--stdin"], {"vars": 2, "matrix": [], "cols": None}),
+        ],
+    )
+    def test_malformed_stdin_json_is_three(self, argv, data, monkeypatch, capsys):
+        # each of these used to raise a TypeError and exit 5
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    def test_long_braid_word_is_four(self):
+        # the braid action's work is quadratic in the word length; this one
+        # used to run past 120 s
+        start = time.perf_counter()
+        proc = run_cli("torsion-alex", "--braid", "s1^20000", "--strands", "2", timeout=30)
+        assert proc.returncode == 4
+        assert "braid action rewrote more than" in proc.stderr
+        assert time.perf_counter() - start < 10
 
     def test_deep_nesting_is_three(self, capsys):
         text = "(" * 3000 + "x1" + ")" * 3000

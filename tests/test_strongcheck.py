@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongpoly import (
+    Budgets,
     LaurentPoly,
     PROVED,
     PolyVector,
     REFUTED,
     Ring,
-    StrongIrredOptions,
     UNDECIDED,
     Verdict,
     ZZ,
@@ -101,7 +101,7 @@ class TestStronglyIrreducible:
         p = mk(2, {(0, 0): 1, (1, 0): 1, (0, 1): -1})
         assert check_strongly_irreducible(p).status == PROVED
         q = power_substitute(p, (k1, k1))  # uniform substitution only
-        assert is_irreducible(q, mode="laurent" if q.ring.laurent else "ordinary").status == PROVED
+        assert is_irreducible(q).status == PROVED
 
 
 class TestCriterionSystem:
@@ -216,7 +216,7 @@ class TestOptions:
         full = check_strongly_irreducible(p)
         assert full.status == REFUTED
         monkeypatch.setattr(strongcheck, "BOX_MAX", 1)
-        tiny = check_strongly_irreducible(p, StrongIrredOptions(uniform_max=1))
+        tiny = check_strongly_irreducible(p, Budgets(uniform_max=1))
         assert tiny.status in (REFUTED, UNDECIDED)
 
 
