@@ -19,12 +19,21 @@ from math import comb
 from .errors import ResourceBudgetExceeded
 from .factor import coprime, is_irreducible, poly_gcd
 from .groebner import IdealBasis
-from .ring import LaurentPoly, Ring, ZZ, divides, exact_divide, grlex_key, laurent_normalize
+from .ring import (
+    LaurentPoly,
+    Ring,
+    ZZ,
+    _add_shifted,
+    divides,
+    exact_divide,
+    grlex_key,
+    laurent_normalize,
+)
 from .verdict import PROVED
 
-# Cofactor expansion is fine for the minor sizes that arise from braid
-# presentations; the cap keeps a degenerate request from exploding.
-MAX_MINORS = 5000
+# Work units of elementary_ideal's cofactor expansion: one per row selection,
+# and for each product of an entry with a partial minor, its term products + 1.
+MAX_MINOR_WORK = 2_000_000
 # Letters the braid action rewrites, summed over crossings.  Each crossing
 # rewrites every letter of every meridian image, so the work grows
 # quadratically in the word length: s1^k on two strands rewrites about
@@ -73,23 +82,6 @@ class ModulePresentation:
                 raise ValueError("an empty matrix needs an explicit column count")
             ncols = len(rows[0])
         return cls(ring, rows, ncols)
-
-
-def _det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    ring = rows[0][0].ring
-    total = LaurentPoly.zero(ring)
-    sub = [row[1:] for row in rows]
-    for i in range(n):
-        c = rows[i][0]
-        if c.is_zero():
-            continue
-        minor = _det([sub[r] for r in range(n) if r != i])
-        term = c * minor
-        total = total + (term if i % 2 == 0 else -term)
-    return total
 
 
 def presentation_rank(pres: ModulePresentation) -> int:
@@ -152,27 +144,33 @@ def elementary_ideal(pres: ModulePresentation, k: int) -> IdealBasis:
     if k < 0:
         raise ValueError("elementary ideal index must be >= 0")
     ring = pres.ring.ordinary_version()
-    size = pres.ncols - k
-    if size <= 0:
-        return IdealBasis(ring, (LaurentPoly.one(ring),))
-    if size > pres.nrows:
-        return IdealBasis(ring, ())
-    n_minors = comb(pres.nrows, size) * comb(pres.ncols, size)
-    if n_minors > MAX_MINORS:
-        raise ResourceBudgetExceeded(
-            "minors", f"{n_minors} minors of size {size} exceed the cap {MAX_MINORS}"
-        )
+    size = max(pres.ncols - k, 0)
+    # Each row selection is expanded once, row by row, into partial minors keyed
+    # by their sorted columns; column j enters with sign (-1)^#(used columns > j).
+    exhausted = ResourceBudgetExceeded("minors", f"minors need over {MAX_MINOR_WORK} work units")
+    if (work := comb(pres.nrows, size)) > MAX_MINOR_WORK:
+        raise exhausted
+    rows = [[e.term_dict() for e in row] for row in pres.rows]
     gens = set()
     for rsel in combinations(range(pres.nrows), size):
-        for csel in combinations(range(pres.ncols), size):
-            sub = [[pres.rows[i][j] for j in csel] for i in rsel]
-            d = _det(sub)
-            if d.is_zero():
-                continue
-            q, _ = laurent_normalize(d)
-            gens.add(q.sign_normalized())
-    ordered = sorted(gens, key=lambda g: tuple(sorted(g.term_dict().items())))
-    return IdealBasis(ring, tuple(ordered))
+        layer = {(): {(0,) * ring.nvars: 1}}
+        for i in rsel:
+            nxt: dict = {}
+            for cols, minor in layer.items():
+                for j, entry in enumerate(rows[i]):
+                    if not entry or j in cols:
+                        continue
+                    work += len(entry) * len(minor) + 1
+                    if work > MAX_MINOR_WORK:
+                        raise exhausted
+                    acc = nxt.setdefault(tuple(sorted(cols + (j,))), {})
+                    sign = -1 if sum(c > j for c in cols) % 2 else 1
+                    for m, c in entry.items():
+                        _add_shifted(acc, minor, sign * c, m)
+            layer = {cols: minor for cols, minor in nxt.items() if minor}
+        for minor in layer.values():
+            gens.add(laurent_normalize(LaurentPoly(pres.ring, minor))[0].sign_normalized())
+    return IdealBasis(ring, tuple(sorted(gens, key=lambda g: sorted(g.term_dict().items()))))
 
 
 def canonical_associate(p: LaurentPoly) -> LaurentPoly:
@@ -199,8 +197,7 @@ def divisorial_hull(ideal: IdealBasis) -> LaurentPoly:
 def torsion_alexander_poly(pres: ModulePresentation) -> LaurentPoly:
     """Order of the torsion submodule: the divisorial hull of the
     elementary ideal taken at the free rank."""
-    r = free_rank(pres)
-    return divisorial_hull(elementary_ideal(pres, r))
+    return divisorial_hull(elementary_ideal(pres, free_rank(pres)))
 
 
 # -- Fox calculus and braid closures ---------------------------------------

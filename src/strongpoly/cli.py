@@ -98,6 +98,15 @@ def _family_member(args) -> LaurentPoly:
     return families.build_family_poly(spec)
 
 
+def _poly_or_family(args) -> LaurentPoly:
+    """The Laurent polynomial of a command that takes a polynomial or --family/--k."""
+    if args.family and args.k is not None:
+        return _family_member(args)
+    if args.poly and not args.family:
+        return _parse_shared([args.poly], True, args.vars)[0]
+    raise ValueError(f"{args.subcommand} needs a polynomial or both --family and --k")
+
+
 def _read_stdin_json():
     try:
         return json.load(sys.stdin)
@@ -145,12 +154,7 @@ def _cmd_gen_family(args):
 
 
 def _cmd_slice_poly(args):
-    if args.family:
-        p = _family_member(args)
-    elif args.poly:
-        (p,) = _parse_shared([args.poly], True, args.vars)
-    else:
-        raise ValueError("slice-poly needs a polynomial or --family/--k")
+    p = _poly_or_family(args)
     product = families.slice_polynomial(p)
     return "OK", {"product": product.to_text()}, [f"product: {product.to_text()}"], 0
 
@@ -224,12 +228,7 @@ def _cmd_braid_alex(args):
 
 
 def _cmd_verify_ribbon(args):
-    if args.family:
-        p = _family_member(args)
-    elif args.poly:
-        (p,) = _parse_shared([args.poly], True, args.vars)
-    else:
-        raise ValueError("verify-ribbon needs a polynomial or --family/--k")
+    p = _poly_or_family(args)
     report = alexander.verify_ribbon_presentation(p)
     lines = []
     steps = []

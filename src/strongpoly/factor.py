@@ -467,6 +467,9 @@ def _zassenhaus_squarefree(f: list) -> list:
             if trials > MAX_KRON_TRIALS:
                 raise ResourceBudgetExceeded("factor-trials", "recombination budget exceeded")
             cand = _uv_sym(_uv_prod(items[idx] for idx in combo), target)
+            # a factor's constant term divides remaining[0] != 0 (Abbott et al., ISSAC 2000)
+            if cand[0] == 0 or remaining[0] % cand[0]:
+                continue
             quo = _uv_exact_div(remaining, cand)
             if quo is not None:
                 found_monic.append(cand)

@@ -416,11 +416,11 @@ def genericity_sample(
     if coeff_box < 1:
         raise ValueError("coeff_box must be positive")
     ring = Ring(n_vars)
-    monos = [
-        m
-        for m in itertools.product(range(degree + 1), repeat=n_vars)
-        if sum(m) == degree
-    ]
+    # every exponent vector of total degree `degree`, in lexicographic order
+    monos = sorted(
+        tuple(c.count(v) for v in range(n_vars))
+        for c in itertools.combinations_with_replacement(range(n_vars), degree)
+    )
     passes = 0
     for i in range(trials):
         rng = random.Random(rng_seed * 1000003 + i)

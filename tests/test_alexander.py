@@ -1,8 +1,13 @@
 """Module presentations, elementary ideals, Fox calculus, torsion orders."""
 
 import random
+import time
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongpoly import (
     LaurentPoly,
@@ -20,6 +25,7 @@ from strongpoly import (
     fox_derivative,
     free_rank,
     laurent_member,
+    laurent_normalize,
     presentation_rank,
     slice_polynomial,
     torsion_alexander_poly,
@@ -27,7 +33,7 @@ from strongpoly import (
 )
 from strongpoly.groebner import IdealBasis
 
-from conftest import mk
+from conftest import mk, poly_st
 
 L1 = Ring(1, True, ZZ)
 L2 = Ring(2, True, ZZ)
@@ -39,6 +45,42 @@ def lp(nvars, terms):
 
 def pres(rows, ncols=None):
     return ModulePresentation.from_rows(rows, ncols=ncols)
+
+
+def leibniz_det(rows, ring):
+    """Determinant as the signed sum over permutations, the reference the
+    shared cofactor expansion of elementary_ideal is checked against."""
+    n = len(rows)
+    total = LaurentPoly.zero(ring)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+        term = LaurentPoly.constant(ring, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+@st.composite
+def small_matrices(draw):
+    nvars = draw(st.integers(1, 2))
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    entry = poly_st(nvars, laurent=True, max_exp=2, max_terms=3, max_coeff=5)
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    return ModulePresentation(Ring(nvars, True, ZZ), tuple(map(tuple, rows)), ncols)
+
+
+def dense_matrix(n, seed):
+    rng = random.Random(seed)
+    return pres(
+        [
+            [
+                lp(1, {(rng.randint(-1, 2),): rng.randint(1, 5), (3,): rng.randint(1, 5)})
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+    )
 
 
 P = lp(2, {(0, 0): 1, (1, 0): 1, (0, 1): -1})  # 1 + x1 - x2
@@ -106,6 +148,54 @@ class TestElementaryIdeals:
         big = pres([[one] * 16 for _ in range(16)])
         with pytest.raises(ResourceBudgetExceeded):
             elementary_ideal(big, 8)
+
+    @given(small_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_generators_are_the_nonzero_minors(self, m):
+        for k in range(m.ncols + 2):
+            size = max(m.ncols - k, 0)
+            expected = set()
+            for rsel in combinations(range(m.nrows), size):
+                for csel in combinations(range(m.ncols), size):
+                    d = leibniz_det([[m.rows[i][j] for j in csel] for i in rsel], m.ring)
+                    if not d.is_zero():
+                        expected.add(laurent_normalize(d)[0].sign_normalized())
+            gens = elementary_ideal(m, k).generators
+            assert len(gens) == len(expected)
+            assert set(gens) == expected
+
+    def test_dense_ten_by_ten_determinant(self):
+        m = dense_matrix(10, 7)
+        (det,) = elementary_ideal(m, 0).generators
+        # at t = 2, Gaussian elimination over Q gives the determinant, which
+        # is the generator's value up to sign and the stripped power of t
+        a = [
+            [sum(c * Fraction(2) ** e for (e,), c in x.term_dict().items()) for x in row]
+            for row in m.rows
+        ]
+        value = Fraction(1)
+        for i in range(10):
+            p = next(r for r in range(i, 10) if a[r][i])
+            a[i], a[p] = a[p], a[i]
+            value *= a[i][i] if p == i else -a[i][i]
+            for r in range(i + 1, 10):
+                f = a[r][i] / a[i][i]
+                a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+        ratio = abs(value / sum(c * 2**e for (e,), c in det.term_dict().items()))
+        assert ratio.numerator & (ratio.numerator - 1) == 0
+        assert ratio.denominator & (ratio.denominator - 1) == 0
+
+    @pytest.mark.parametrize(
+        "m, k",
+        [(dense_matrix(16, 1), 0), (pres([[LaurentPoly.zero(L1)] * 40] * 40), 20)],
+        ids=["dense-16x16", "zero-40x40"],
+    )
+    def test_work_budget_ends_fast(self, m, k):
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetExceeded) as err:
+            elementary_ideal(m, k)
+        assert err.value.kind == "minors"
+        assert time.monotonic() - start < 10
 
     def test_nesting_chain(self):
         rng = random.Random(11)
@@ -277,6 +367,19 @@ class TestBraidClosures:
         m = braid_to_presentation([1, 1], 2)
         assert m.ring.nvars == 2
         assert torsion_alexander_poly(m).to_text() == "1"
+
+    def test_twelve_strand_split_link(self):
+        # figure eight on strands 1-3, an unknot on 4 and a trefoil on 5-6,
+        # stabilized to 12 strands: the closure is the same link, and the
+        # order is the product of the two knots' polynomials
+        split = [1, -2, 1, -2, 5, 5, 5]
+        m = braid_to_presentation(split + [6, 7, 8, 9, 10, 11], 12)
+        assert m.ring.nvars == 3 and free_rank(m) == 3
+        expected = torsion_alexander_poly(braid_to_presentation(split, 6))
+        assert torsion_alexander_poly(m) == expected
+        assert expected.to_text("t") == (
+            "t1^2*t3^2 - t1^2*t3 - 3*t1*t3^2 + t1^2 + 3*t1*t3 + t3^2 - 3*t1 - t3 + 1"
+        )
 
     def test_knot_sanity(self):
         for word, strands in [([1, 1, 1], 2), ([1, -2, 1, -2], 3), ([1, 1, 1, 1, 1], 2)]:

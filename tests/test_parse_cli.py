@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -195,6 +196,40 @@ class TestExitCodes:
         proc = run_cli("elementary-ideal", "--k", "8", "--stdin", stdin=matrix)
         assert proc.returncode == 4
         assert "resource budget" in proc.stderr
+
+    def test_dense_minor_budget_is_four(self):
+        rng = random.Random(1)
+        rows = [
+            [
+                f"{rng.randint(1, 5)}*x1^{rng.randint(-1, 2)} + {rng.randint(1, 5)}*x1^3"
+                for _ in range(16)
+            ]
+            for _ in range(16)
+        ]
+        stdin = json.dumps({"vars": 1, "matrix": rows})
+        proc = run_cli("elementary-ideal", "--k", "0", "--stdin", stdin=stdin, timeout=10)
+        assert proc.returncode == 4
+        assert "resource budget" in proc.stderr
+
+    def test_product_with_many_modular_factors_is_refuted(self):
+        # the Kronecker image has many modular factors; the trailing
+        # coefficient test skips most recombination candidates
+        product = "(9*x1^2*x2^5 - x1 - 6*x2^5)*(8*x1^3*x2 + 3*x1^3 + 9*x2^3)"
+        proc = run_cli("check-irred", product, timeout=10)
+        assert proc.returncode == 1
+        assert "status: REFUTED" in proc.stdout
+
+    def test_genericity_with_many_variables_ends(self):
+        # 40 variables at degree 1 have 40 monomials, not 2^40 candidates
+        proc = run_cli("genericity", "--vars", "40", "--degree", "1", "--trials", "1", timeout=10)
+        assert proc.returncode == 0
+        assert "passes: 1/1" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["slice-poly", "verify-ribbon"])
+    def test_family_without_k_is_three(self, command):
+        proc = run_cli(command, "--family", "F1")
+        assert proc.returncode == 3
+        assert "needs a polynomial or both --family and --k" in proc.stderr
 
     def test_uncertifiable_prime_constant_is_four(self):
         # above the deterministic Miller-Rabin bound trial division used to hang
