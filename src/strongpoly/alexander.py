@@ -190,6 +190,10 @@ def divisorial_hull(ideal: IdealBasis) -> LaurentPoly:
         return LaurentPoly.zero(ideal.ring)
     g = ideal.generators[0]
     for h in ideal.generators[1:]:
+        if g.num_terms() == 1:
+            # a term is a unit up to the content and monomial factor that
+            # canonical_associate drops, and so is every gcd with it
+            break
         g = poly_gcd(g, h)
     return canonical_associate(g)
 

@@ -1,11 +1,40 @@
-"""Buchberger Groebner bases over Q in graded lexicographic order.
+"""Buchberger Groebner bases in graded lexicographic order, over Q or mod p.
 
-The engine works on integer-primitive term dicts (pseudo-reduction keeps
-every intermediate coefficient an int); Fractions only appear when the
-reduced basis is made monic at the boundary.  Pair selection is the normal
-strategy (smallest lcm first) with Buchberger's coprimality and chain
-criteria.  All entry points honor a step budget and raise
-ResourceBudgetExceeded instead of running away.
+The engine works on integer term dicts.  Over Q it pseudo-reduces, so every
+intermediate coefficient stays an int and Fractions only appear when the
+reduced basis is made monic at the boundary; mod a prime p it keeps every
+element monic with coefficients in [0, p).  One pair loop (the normal
+strategy, smallest lcm first, with Buchberger's coprimality and chain
+criteria) and one normal-form loop serve both.  Every run honors the S-pair
+budget, the basis cap MAX_BASIS and the reduction-work cap
+MAX_REDUCTION_WORK, and raises ResourceBudgetExceeded instead of running
+away.
+
+only_trivial_solution asks whether homogeneous f_1, ..., f_m in n variables
+have only the trivial common zero, that is, whether I = <f_1, ..., f_m>
+contains every monomial of some degree.  Three shortcuts decide it without a
+full reduced basis, each of them sound:
+
+- Pure-power leads.  Every element of I puts its leading monomial into the
+  lead ideal.  Once every variable has a pure-power lead, I holds a power
+  of every variable: the answer is True.  So it is for a constant
+  generator, whose ideal has no zero at all.
+- Lazard's degree cap.  If the answer is True, I contains every monomial of
+  degree D = d_1 + ... + d_n - n + 1, where d_1 >= ... >= d_n are the n
+  largest generator degrees (Macaulay's bound; D. Lazard, EUROCAL 1983).
+  With fewer than n generators the answer is False (Krull's height
+  theorem).  Pairs go by lcm degree and every element is homogeneous, so
+  once the smallest pending pair has lcm degree above D, the leads so far
+  divide the lead of every element of I of degree at most D.  A variable
+  without a pure-power lead then has x_i^D outside I: the answer is False.
+- Mod p first.  The run is first made mod PRIME, and a True answer there is
+  final.  It shows that I mod p holds a power of every variable, hence
+  every monomial of some degree D, so the degree-D Macaulay matrix (the
+  monomial multiples of the integer generators, as rows) has full column
+  rank mod p; its rank over Q is at least its rank mod p, so I over Q
+  contains every monomial of degree D too.  A False answer mod
+  p, or an exhausted budget there, says nothing about Q, so the exact run
+  alone decides False and budget exhaustion.
 """
 
 from __future__ import annotations
@@ -14,6 +43,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, neg
 
 from .errors import Budgets, ResourceBudgetExceeded
 from .ring import (
@@ -34,6 +64,13 @@ from .ring import (
 # Largest reducer list Buchberger keeps before giving up; the S-pair
 # budget is Budgets.max_pairs.
 MAX_BASIS = 500
+
+# Terms one run may touch in reduction steps (the reducer terms added, and
+# over Q the terms a pseudo-reduction rescales) before giving up.
+MAX_REDUCTION_WORK = 500_000
+
+# The prime of only_trivial_solution's first, modular run.
+PRIME = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -91,48 +128,126 @@ def _to_int_dict(p: LaurentPoly) -> dict:
     return _primitive_terms(terms)
 
 
-def _reducer(d: dict):
-    """(leading monomial, leading coefficient, terms) of a nonzero dict."""
+def _reducer(d: dict, p: int = 0):
+    """(leading monomial, leading coefficient, terms) of a nonzero dict;
+    mod p the terms are made monic first."""
     lm = max(d, key=grlex_key)
+    if p:
+        inv = pow(d[lm], -1, p)
+        d = {m: c * inv % p for m, c in d.items()}
     return (lm, d[lm], d)
 
 
-def _normal_form(fdict: dict, reducers) -> dict:
-    """Full normal form by pseudo-reduction; result is primitive.
+class _Reducers:
+    """The reducer triples of one run, its modulus (0 over Q), the reduction
+    work spent so far, and a cache of the reduction step for each lead.
 
-    The first reducer (in list order) whose lead divides the current lead
-    is used; a reducer of higher lead degree cannot divide, so it is
-    skipped before the componentwise test.
+    The cache is valid because a run's list only grows: the first divisor of
+    a monomial in list order never changes, and a monomial without one need
+    only be tested against the triples appended since.
     """
-    by_degree = [(sum(r[0]), r) for r in reducers]
+
+    def __init__(self, triples, p: int = 0):
+        self.triples = list(triples)
+        self.degrees = [sum(t[0]) for t in self.triples]
+        self.p = p
+        self.work = 0
+        self._steps: dict = {}
+
+    def append(self, triple) -> None:
+        self.triples.append(triple)
+        self.degrees.append(sum(triple[0]))
+
+    def step(self, lm):
+        """The first triple in list order whose lead divides lm, as its
+        leading coefficient and its terms times lm / lead; None if no lead
+        divides lm.  A triple of higher lead degree cannot divide, so it is
+        skipped before the componentwise test."""
+        checked, hit = self._steps.get(lm, (0, None))
+        if hit is None:
+            deg = sum(lm)
+            triples, degrees = self.triples, self.degrees
+            for i in range(checked, len(triples)):
+                g_lm, g_lc, g_terms = triples[i]
+                if degrees[i] <= deg and mono_divides(g_lm, lm):
+                    shift = mono_div(lm, g_lm)
+                    hit = (g_lc, [(tuple(map(add, m, shift)), c) for m, c in g_terms.items()])
+                    break
+            self._steps[lm] = (len(triples), hit)
+        return hit
+
+    def charge(self, terms: int) -> None:
+        self.work += terms
+        if self.work > MAX_REDUCTION_WORK:
+            raise ResourceBudgetExceeded(
+                "gb-work", f"reduction work budget {MAX_REDUCTION_WORK} exceeded"
+            )
+
+
+def _heap_entry(m):
+    # heapq pops its smallest entry first, so the grlex-largest monomial
+    # gets the smallest key
+    return (-sum(m), tuple(map(neg, m)), m)
+
+
+def _normal_form(fdict: dict, red: _Reducers) -> dict:
+    """Full normal form of fdict against red.
+
+    Over Q by pseudo-reduction, with a primitive result; mod p by monic
+    reduction, with the result in [0, p) but not yet monic.  Leads come off
+    a heap of the pending monomials (one that cancelled is skipped when it
+    surfaces), and each step uses red.step.  Mod p a pending coefficient is
+    reduced only when it surfaces as a lead.
+    """
+    p = red.p
     f = dict(fdict)
+    heap = [_heap_entry(m) for m in f]
+    heapq.heapify(heap)
     rem: dict = {}
-    while f:
-        lm = max(f, key=grlex_key)
-        lc = f[lm]
-        deg = sum(lm)
-        hit = None
-        for g_deg, r in by_degree:
-            if g_deg <= deg and mono_divides(r[0], lm):
-                hit = r
-                break
+    while heap:
+        lm = heapq.heappop(heap)[2]
+        lc = f.get(lm)
+        if lc is None:
+            continue
+        if p:
+            lc %= p
+            if not lc:
+                del f[lm]
+                continue
+        hit = red.step(lm)
         if hit is None:
             rem[lm] = lc
             del f[lm]
             continue
-        g_lm, g_lc, g_terms = hit
-        g = math.gcd(lc, g_lc)
-        a = g_lc // g
-        b = lc // g
-        if a < 0:
-            a, b = -a, -b
-        if a != 1:
-            for k in f:
-                f[k] *= a
-            for k in rem:
-                rem[k] *= a
-        _add_shifted(f, g_terms, -b, mono_div(lm, g_lm))
-    return _primitive_terms(rem)
+        g_lc, shifted = hit
+        b = lc  # mod p the reducer is monic
+        if not p:
+            g = math.gcd(lc, g_lc)
+            a = g_lc // g
+            b = lc // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                for k in f:
+                    f[k] *= a
+                for k in rem:
+                    rem[k] *= a
+                red.charge(len(f) + len(rem))
+        # f -= b * (the shifted reducer), which cancels the lead
+        for key, c in shifted:
+            old = f.get(key)
+            if old is None:
+                f[key] = -b * c
+                heapq.heappush(heap, _heap_entry(key))
+            else:
+                s = old - b * c
+                if s:
+                    f[key] = s
+                else:
+                    del f[key]
+        f.pop(lm, None)  # mod p it may hold a nonzero multiple of p
+        red.charge(len(shifted))
+    return rem if p else _primitive_terms(rem)
 
 
 def _spoly(f, g) -> dict:
@@ -148,7 +263,7 @@ def _spoly(f, g) -> dict:
 
 
 def _interreduce(reducers: list) -> list:
-    """Reduced basis from the reducer triples of a Groebner basis, as
+    """Reduced basis from the reducer triples of a Groebner basis over Q, as
     reducer triples sorted by leading monomial."""
     # drop elements whose leading monomial another one divides
     kept = []
@@ -166,25 +281,36 @@ def _interreduce(reducers: list) -> list:
     out = []
     for i, (_, _, terms) in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        reduced = _normal_form(terms, others) if others else _primitive_terms(terms)
+        reduced = (
+            _normal_form(terms, _Reducers(others)) if others else _primitive_terms(terms)
+        )
         if reduced:
             out.append(_reducer(reduced))
     out.sort(key=lambda r: grlex_key(r[0]))
     return out
 
 
-def buchberger(I: IdealBasis, budgets: Budgets = Budgets()) -> GroebnerBasis:
-    """Reduced Groebner basis of I, graded lex order.
+def _complete(red: _Reducers, max_pairs: int, cap: int | None = None) -> bool:
+    """Buchberger's pair loop: extend red to a Groebner basis.
 
-    Raises ResourceBudgetExceeded when the pair queue or basis outgrows
-    the configured budget.  The output is independent of generator order
-    (reduced bases are unique), which regression tests rely on.
+    Without cap it runs until no pair is left and returns False.  With cap,
+    for a homogeneous system of positive degree (see the module docstring),
+    it returns True as soon as every variable has a pure-power lead, and
+    False once the smallest pending pair has lcm degree above cap.
     """
-    ring = Ring(I.ring.nvars, False, QQ)
-    # one (lm, lc, terms) triple per basis element; elements never change
-    reducers = [_reducer(d) for d in (_to_int_dict(g) for g in I.generators) if d]
-    if not reducers:
-        return GroebnerBasis(ring, (), _reducers=())
+    reducers = red.triples
+    nvars = len(reducers[0][0])
+    powers: set[int] = set()
+
+    def settles(lm) -> bool:
+        # a pure power of the last variable without one
+        used = [i for i, e in enumerate(lm) if e]
+        if len(used) == 1:
+            powers.add(used[0])
+        return len(powers) == nvars
+
+    if cap is not None and any(settles(lm) for lm, _, _ in reducers):
+        return True
 
     pairs: list = []
     handled: set[tuple[int, int]] = set()
@@ -199,13 +325,13 @@ def buchberger(I: IdealBasis, budgets: Budgets = Budgets()) -> GroebnerBasis:
 
     popped = 0
     while pairs:
+        if cap is not None and pairs[0][0][0] > cap:  # the smallest lcm degree
+            return False
         _, i, j, L = heapq.heappop(pairs)
         handled.add((i, j))
         popped += 1
-        if popped > budgets.max_pairs:
-            raise ResourceBudgetExceeded(
-                "gb-pairs", f"S-pair budget {budgets.max_pairs} exceeded"
-            )
+        if popped > max_pairs:
+            raise ResourceBudgetExceeded("gb-pairs", f"S-pair budget {max_pairs} exceeded")
         # coprime-leads criterion
         if all(min(a, b) == 0 for a, b in zip(reducers[i][0], reducers[j][0])):
             continue
@@ -222,24 +348,45 @@ def buchberger(I: IdealBasis, budgets: Budgets = Budgets()) -> GroebnerBasis:
                     break
         if skip:
             continue
-        r = _normal_form(_spoly(reducers[i], reducers[j]), reducers)
+        r = _normal_form(_spoly(reducers[i], reducers[j]), red)
         if not r:
             continue
-        reducers.append(_reducer(r))
+        red.append(_reducer(r, red.p))
         if len(reducers) > MAX_BASIS:
             raise ResourceBudgetExceeded("gb-basis", f"basis size budget {MAX_BASIS} exceeded")
+        if cap is not None and settles(reducers[-1][0]):
+            return True
         new = len(reducers) - 1
         for k in range(new):
             push_pair(k, new)
+    return False
 
-    reduced = tuple(_interreduce(reducers))
+
+def buchberger(I: IdealBasis, budgets: Budgets = Budgets()) -> GroebnerBasis:
+    """Reduced Groebner basis of I over Q, graded lex order.
+
+    Raises ResourceBudgetExceeded when the pair queue, the basis or the
+    reduction work outgrows its budget.  The output is independent of
+    generator order (reduced bases are unique), which regression tests rely
+    on.
+    """
+    ring = Ring(I.ring.nvars, False, QQ)
+    # one (lm, lc, terms) triple per basis element; elements never change
+    red = _Reducers(
+        _reducer(d) for d in (_to_int_dict(g) for g in I.generators) if d
+    )
+    if not red.triples:
+        return GroebnerBasis(ring, (), _reducers=())
+    _complete(red, budgets.max_pairs)
+    reduced = tuple(_interreduce(red.triples))
     polys = tuple(
         LaurentPoly(ring, {m: Fraction(c, lc) for m, c in terms.items()})
         for _, lc, terms in reduced
     )
     # sanity: every input generator must reduce to zero against the output
+    check = _Reducers(reduced)
     for g in I.generators:
-        if _normal_form(_to_int_dict(g), reduced):
+        if _normal_form(_to_int_dict(g), check):
             raise AssertionError("input generator does not reduce to zero")
     return GroebnerBasis(ring, polys, _reducers=reduced)
 
@@ -250,7 +397,7 @@ def normal_form(f: LaurentPoly, G: GroebnerBasis) -> LaurentPoly:
         raise ValueError("normal form expects an ordinary polynomial")
     if f.ring.nvars != G.ring.nvars:
         raise ValueError("variable count mismatch")
-    rem = _normal_form(_to_int_dict(f), G.reducers())
+    rem = _normal_form(_to_int_dict(f), _Reducers(G.reducers()))
     return LaurentPoly(G.ring, {m: Fraction(c) for m, c in rem.items()})
 
 
@@ -276,14 +423,35 @@ def radical_member(f: LaurentPoly, I: IdealBasis) -> bool:
     return buchberger(IdealBasis(ext, tuple(gens))).is_unit_ideal()
 
 
+def _trivial_zero_only(gens: list[dict], nvars: int, max_pairs: int, p: int = 0) -> bool:
+    """only_trivial_solution for nonzero homogeneous integer term dicts,
+    decided over Q, or mod p when p is given."""
+    if p:
+        gens = [d for d in ({m: c % p for m, c in g.items() if c % p} for g in gens) if d]
+    degrees = sorted((sum(next(iter(d))) for d in gens), reverse=True)
+    if 0 in degrees:
+        return True  # a nonzero constant: the unit ideal has no zero at all
+    if len(degrees) < nvars:
+        return False
+    red = _Reducers((_reducer(d, p) for d in gens), p)
+    return _complete(red, max_pairs, cap=sum(degrees[:nvars]) - nvars + 1)
+
+
 def only_trivial_solution(I: IdealBasis, budgets: Budgets = Budgets()) -> bool:
     """Whether the homogeneous system I has no nonzero complex solution.
 
-    Reads the answer off one Groebner basis: a pure power of every variable
-    must appear among the leading monomials.  That is the standard
-    zero-dimensionality test, and for a homogeneous ideal it pins the zero
-    set inside the origin.  The tests check it against radical_member, which
-    asks whether every variable lies in the radical of I.
+    True exactly when I contains a power of every variable, the standard
+    zero-dimensionality test, which for a homogeneous ideal pins the zero
+    set inside the origin.  The answer needs no full basis: a run stops
+    once every variable has a pure-power lead (True), and at Lazard's
+    degree D = d_1 + ... + d_n - n + 1 of the n largest generator degrees,
+    where an ideal with only the trivial zero already contains every
+    monomial of degree D (False).  The first run is mod PRIME; a True
+    answer there is final, because the degree-D Macaulay matrix's rank mod
+    p is at most its rank over Q.  Otherwise, or when that run exhausts a
+    budget, the exact run over Q decides.  The tests check the answer
+    against radical_member, which asks whether every variable lies in the
+    radical of I.
     """
     for g in I.generators:
         if not g.is_homogeneous():
@@ -291,18 +459,13 @@ def only_trivial_solution(I: IdealBasis, budgets: Budgets = Budgets()) -> bool:
     n = I.ring.nvars
     if n == 0:
         return True
-    if not I.generators:
-        return False
-    G = buchberger(I, budgets)
-    if G.is_unit_ideal():
-        return True
-    covered = [False] * n
-    for d in G.reducers():
-        lm = d[0]
-        nz = [i for i, e in enumerate(lm) if e]
-        if len(nz) == 1:
-            covered[nz[0]] = True
-    return all(covered)
+    gens = [_to_int_dict(g) for g in I.generators]
+    try:
+        if _trivial_zero_only(gens, n, budgets.max_pairs, PRIME):
+            return True
+    except ResourceBudgetExceeded:
+        pass
+    return _trivial_zero_only(gens, n, budgets.max_pairs)
 
 
 def laurent_member(f: LaurentPoly, gens: list[LaurentPoly]) -> bool:

@@ -31,6 +31,8 @@ from strongpoly import (
     torsion_alexander_poly,
     verify_ribbon_presentation,
 )
+from strongpoly import alexander
+from strongpoly.factor import poly_gcd
 from strongpoly.groebner import IdealBasis
 
 from conftest import mk, poly_st
@@ -232,6 +234,20 @@ class TestHull:
     def test_integer_content_is_dropped(self):
         I = IdealBasis.from_polys([P.to_ordinary().scale(6)])
         assert divisorial_hull(I) == canonical_associate(P)
+
+    def test_fold_stops_at_a_unit(self, monkeypatch):
+        calls = []
+
+        def counting_gcd(a, b):
+            calls.append((a, b))
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(alexander, "poly_gcd", counting_gcd)
+        a = lp(2, {(1, 0): 1, (0, 0): -1}).to_ordinary()
+        b = lp(2, {(0, 1): 1, (0, 0): -1}).to_ordinary()
+        I = IdealBasis.from_polys([a, b, (P * Q).to_ordinary(), P.to_ordinary()])
+        assert divisorial_hull(I).to_text() == "1"
+        assert len(calls) == 1
 
     def test_canonical_associate(self):
         p = P.mul_monomial((-2, 1), -3)

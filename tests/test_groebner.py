@@ -1,5 +1,7 @@
 """Buchberger engine: reduced bases, membership, radicals, trivial-zero test."""
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,8 @@ from strongpoly import (
     laurent_member,
     only_trivial_solution,
 )
-from strongpoly.groebner import ideal_member, radical_member
+from strongpoly import groebner
+from strongpoly.groebner import PRIME, ideal_member, radical_member
 
 from conftest import nonzero_poly_st
 
@@ -74,6 +77,12 @@ class TestBuchberger:
     def test_pair_budget_enforced(self):
         with pytest.raises(ResourceBudgetExceeded):
             buchberger(budget_ideal(), Budgets(max_pairs=1))
+
+    def test_reduction_work_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(groebner, "MAX_REDUCTION_WORK", 10)
+        with pytest.raises(ResourceBudgetExceeded) as info:
+            buchberger(budget_ideal())
+        assert info.value.kind == "gb-work"
 
     def test_pair_budget_trip_point(self):
         # pins the S-pair sequence that --gb-steps counts: 21 pops, no fewer
@@ -204,3 +213,57 @@ class TestOnlyTrivialSolution:
             )
             assert only_trivial_solution(I) == radical
 
+    def test_prime_fallback(self):
+        # <x*y, x^2 + P*y^2> holds x^3 and y^3 over Q, but mod P it is
+        # <x*y, x^2>, which vanishes at (0, 1)
+        R2 = Ring(2, False, QQ)
+        I = basis(R2, {(1, 1): 1}, {(2, 0): 1, (0, 2): PRIME})
+        gens = [groebner._to_int_dict(g) for g in I.generators]
+        assert not groebner._trivial_zero_only(gens, 2, Budgets().max_pairs, PRIME)
+        assert only_trivial_solution(I)
+
+    def test_early_exit_beats_the_pair_budget(self):
+        # the pure powers are leads from the start, so no S-pair is needed
+        I = basis(
+            Q3,
+            {(2, 0, 0): 1, (0, 1, 1): 1},
+            {(0, 2, 0): 1, (0, 1, 1): -1},
+            {(0, 0, 2): 2},
+        )
+        with pytest.raises(ResourceBudgetExceeded):
+            buchberger(I, Budgets(max_pairs=1))
+        assert only_trivial_solution(I, Budgets(max_pairs=1))
+
+    def test_too_few_generators_have_a_nontrivial_zero(self):
+        I = basis(Q3, {(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 0, 2): 1, (1, 1, 0): 1})
+        assert not only_trivial_solution(I, Budgets(max_pairs=0))
+        # unless one is a nonzero constant: then there is no zero at all
+        assert only_trivial_solution(basis(Q3, {(0, 0, 0): 5}))
+
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.integers(1, 2),
+                    st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+                ),
+                min_size=1,
+                max_size=n + 1,
+            ).map(lambda forms: (n, forms))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_radical_reference(self, system):
+        n, forms = system
+        R = Ring(n, False, QQ)
+        gens = []
+        for degree, coeffs in forms:
+            monos = sorted(m for m in itertools.product(range(degree + 1), repeat=n)
+                           if sum(m) == degree)
+            g = LaurentPoly(R, {m: c for m, c in zip(monos, coeffs) if c})
+            if not g.is_zero():
+                gens.append(g)
+        assume(gens)
+        I = IdealBasis.from_polys(gens, R)
+        radical = all(radical_member(LaurentPoly.variable(R, i), I) for i in range(n))
+        assert only_trivial_solution(I) == radical

@@ -225,6 +225,13 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "passes: 1/1" in proc.stdout
 
+    def test_genericity_reduction_work_is_bounded(self):
+        # six variables at degree 3 exhaust the reduction-work budget in both
+        # criterion runs instead of running on in Buchberger
+        proc = run_cli("genericity", "--vars", "6", "--degree", "3", "--trials", "1", timeout=60)
+        assert proc.returncode in (0, 1, 2, 3, 4)
+        assert "passes: 0/1" in proc.stdout
+
     @pytest.mark.parametrize("command", ["slice-poly", "verify-ribbon"])
     def test_family_without_k_is_three(self, command):
         proc = run_cli(command, "--family", "F1")
@@ -307,7 +314,12 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("input error: ")
 
     def test_budget_flags_are_applied(self, capsys):
-        assert cli.main(["check-strong-irred", "1 + x1 - x2", "--gb-steps", "1"]) == 2
+        # a linear form's criterion system is decided before any S-pair, so
+        # the budget needs a form whose system takes S-pairs
+        conic = "x1^2 + x1*x2 + x2^2 + x1 + 1"
+        assert cli.main(["check-strong-irred", conic]) == 0
+        capsys.readouterr()
+        assert cli.main(["check-strong-irred", conic, "--gb-steps", "1"]) == 2
         assert "resource-gb-pairs" in capsys.readouterr().out
         # x1 + 4 is refuted at the uniform power k = 4, which --max-k 3 skips
         assert cli.main(["check-strong-irred", "x1 + 4"]) == 1
