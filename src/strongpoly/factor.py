@@ -25,6 +25,7 @@ budget runs out.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass
@@ -466,10 +467,17 @@ def _zassenhaus_squarefree(f: list) -> list:
             trials += 1
             if trials > MAX_KRON_TRIALS:
                 raise ResourceBudgetExceeded("factor-trials", "recombination budget exceeded")
-            cand = _uv_sym(_uv_prod(items[idx] for idx in combo), target)
-            # a factor's constant term divides remaining[0] != 0 (Abbott et al., ISSAC 2000)
-            if cand[0] == 0 or remaining[0] % cand[0]:
+            # a factor's constant term divides remaining[0] != 0 (Abbott et
+            # al., ISSAC 2000); the candidate's is the symmetric residue of
+            # its items' constant terms, so test it before the product
+            const = 1
+            for idx in combo:
+                const = const * items[idx][0] % target
+            if const > target // 2:
+                const -= target
+            if const == 0 or remaining[0] % const:
                 continue
+            cand = _uv_sym(_uv_prod(items[idx] for idx in combo), target)
             quo = _uv_exact_div(remaining, cand)
             if quo is not None:
                 found_monic.append(cand)
@@ -657,6 +665,11 @@ def _dict_gcd(f: dict, g: dict, budget: list) -> dict:
         return _primitive_terms(g)
     if not g:
         return _primitive_terms(f)
+    if (len(f) == 1 or len(g) == 1) and any(map(any, itertools.chain(f, g))):
+        # one side is c * x^m and the two are not both constants: the gcd is
+        # the monomial they share, which the recursion below reaches one
+        # variable at a time
+        return {tuple(map(min, *f, *g)): 1}
     used = set()
     for d in (f, g):
         for m in d:
@@ -750,7 +763,10 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     gcd keeps monomial factors.  Integer content is dropped either way:
     the result is primitive, a gcd up to integer factors, which coprime()
     and divisorial_hull rely on.  Callers that need the shared integer
-    content multiply by the gcd of the two contents.
+    content multiply the result's primitive part by the gcd of the two
+    contents.  The one exception is two constants (after the monomials are
+    stripped, over a Laurent ring): their gcd is their nonnegative integer
+    gcd, so poly_gcd(4, 6) is 2 and coprime(4, 6) is False.
     """
     if p.ring != q.ring:
         raise ValueError("ring mismatch")
@@ -775,6 +791,13 @@ def coprime(p: LaurentPoly, q: LaurentPoly) -> bool:
 
 # -- multivariate irreducibility ------------------------------------------
 
+# Outcomes of _image_irreducible by coefficient tuple: a dict for the
+# duration of one strong-irreducibility refutation search, which sets it on
+# entry and resets it on exit, and None everywhere else.
+_IMAGE_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "image_memo", default=None
+)
+
 
 def _eval_partial(p: LaurentPoly, main: int, point: dict) -> list:
     """Dense coefficients of p in the main variable at an integer point."""
@@ -790,7 +813,16 @@ def _eval_partial(p: LaurentPoly, main: int, point: dict) -> list:
 
 
 def _specialization_proved(p: LaurentPoly) -> bool:
-    """Try to certify irreducibility by a degree-preserving specialization."""
+    """Try to certify irreducibility by a degree-preserving specialization.
+
+    A refutation search calls this on many power substitutions q(x^t), and
+    at the all-ones point every one of them with the same main-variable
+    exponent has the same univariate image.  So while _IMAGE_MEMO holds a
+    dict (strongcheck sets one for each search and resets it after), the
+    outcome of factoring each distinct image is computed once per search.
+    That is exact: _uv_factor_primitive is deterministic and its budgets are
+    per call, so a recorded outcome is the one a second call would give.
+    """
     used = p.used_vars()
     main = min(used, key=lambda v: (p.degree_in(v), v))
     others = [v for v in used if v != main]
@@ -808,15 +840,28 @@ def _specialization_proved(p: LaurentPoly) -> bool:
         prim = _uv_primitive(dense)
         if prim[0] == 0:
             continue
-        if _uv_deg(prim) == 1:
-            return True
-        try:
-            pairs = _uv_factor_primitive(prim)
-        except ResourceBudgetExceeded:
-            continue
-        if len(pairs) == 1 and pairs[0][1] == 1:
+        if _uv_deg(prim) == 1 or _image_irreducible(prim):
             return True
     return False
+
+
+def _image_irreducible(prim: list) -> bool:
+    """Whether _uv_factor_primitive finds the primitive image prim
+    irreducible; an image it finds reducible, or whose factoring exceeds a
+    budget, proves nothing.  Inside a refutation search the answer is looked
+    up in, or else recorded in, that search's _IMAGE_MEMO."""
+    memo = _IMAGE_MEMO.get()
+    key = tuple(prim)
+    if memo is not None and key in memo:
+        return memo[key]
+    try:
+        pairs = _uv_factor_primitive(prim)
+        irreducible = len(pairs) == 1 and pairs[0][1] == 1
+    except ResourceBudgetExceeded:
+        irreducible = False
+    if memo is not None:
+        memo[key] = irreducible
+    return irreducible
 
 
 def _kronecker_split(p: LaurentPoly, max_degree: int):

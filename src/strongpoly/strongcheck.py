@@ -16,6 +16,13 @@ the checker is a trichotomy:
   UNDECIDED the criterion failed and a bounded refutation search over
             uniform powers and a small positive box found nothing.
 
+The refutation search checks each substitution with factor.is_irreducible,
+and many substitutions specialize to the same univariate image (at the
+all-ones point, q(x^t) gives g(y^{t_main}) whatever the other exponents
+are).  So each search sets factor._IMAGE_MEMO to a fresh dict on entry and
+resets it on exit, and factor._specialization_proved factors each distinct
+image once per search.  Nothing is remembered from one search to the next.
+
 Strong irreducibility is invariant under the bar involution (inverting
 all variables permutes the substitution instances), but the criterion
 test itself is not: normalization can move the singular locus.  So the
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 
 from . import verdict
 from .errors import Budgets, ResourceBudgetExceeded
-from .factor import is_irreducible, poly_gcd
+from .factor import _IMAGE_MEMO, is_irreducible, poly_gcd
 from .groebner import IdealBasis, only_trivial_solution
 from .ring import (
     ZZ,
@@ -238,22 +245,28 @@ def _refutation_search(q: LaurentPoly, budgets: Budgets):
             notes.setdefault("search_resource", v.reason)
         return None
 
-    for k in range(1, budgets.uniform_max + 1):
-        t = (k,) * m
-        factors = try_t(t)
-        if factors is not None:
-            return (t, factors), notes
-    if m >= 2:
-        count = 0
-        for t in itertools.product(range(1, BOX_MAX + 1), repeat=m):
-            if count >= MAX_BOX_CANDIDATES:
-                notes["box_truncated"] = True
-                break
-            count += 1
+    # one memo of univariate-image outcomes per search; see
+    # factor._specialization_proved
+    token = _IMAGE_MEMO.set({})
+    try:
+        for k in range(1, budgets.uniform_max + 1):
+            t = (k,) * m
             factors = try_t(t)
             if factors is not None:
                 return (t, factors), notes
-    return None, notes
+        if m >= 2:
+            count = 0
+            for t in itertools.product(range(1, BOX_MAX + 1), repeat=m):
+                if count >= MAX_BOX_CANDIDATES:
+                    notes["box_truncated"] = True
+                    break
+                count += 1
+                factors = try_t(t)
+                if factors is not None:
+                    return (t, factors), notes
+        return None, notes
+    finally:
+        _IMAGE_MEMO.reset(token)
 
 
 # -- strong coprimality ----------------------------------------------------
@@ -334,10 +347,11 @@ def check_strongly_coprime(p: LaurentPoly, q: LaurentPoly, budgets: Budgets = Bu
         ev_q = monomial_substitute(q, img_q, m)
         if ev_p.is_zero() or ev_q.is_zero():
             continue
-        # poly_gcd is content-free, so the evaluations' shared integer
-        # content goes back in: a common integer factor is never a unit
+        # the evaluations' shared integer content goes in exactly once, since
+        # a common integer factor is never a unit: poly_gcd is primitive
+        # except for two constants, where it is already their integer gcd
         content = math.gcd(ev_p.content(), ev_q.content())
-        g = poly_gcd(ev_p.to_laurent(), ev_q.to_laurent()).scale(content)
+        g = poly_gcd(ev_p.to_laurent(), ev_q.to_laurent()).primitive_part().scale(content)
         if not g.is_unit():
             return verdict.refuted(
                 {

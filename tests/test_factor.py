@@ -131,6 +131,23 @@ class TestUnivariate:
         assert fact.expand(R1) == p
         assert sorted(m for _, m in fact.factors) == [1, 1, 2]
 
+    def test_recombination_tests_constant_terms_before_products(self, monkeypatch):
+        # x^40 + 3 is irreducible (Eisenstein at 3) but splits into many
+        # factors mod the Zassenhaus prime; recombination tries thousands of
+        # subsets, and forms the product only of those whose constant term
+        # divides 3 (4120 products when every subset was multiplied out)
+        calls = []
+        product = factor._uv_prod
+
+        def counting(fs):
+            calls.append(1)
+            return product(fs)
+
+        monkeypatch.setattr(factor, "_uv_prod", counting)
+        f = [3] + [0] * 39 + [1]
+        assert factor._zassenhaus_squarefree(f) == [f]
+        assert len(calls) < 50
+
     def test_degree_budget(self, monkeypatch):
         p = mk(1, {(12,): 1, (0,): -1})
         monkeypatch.setattr(factor, "MAX_UV_DEGREE", 5)
@@ -250,6 +267,32 @@ class TestGcd:
         q = mk(1, {(1,): 1, (0,): -1})
         assert coprime(p, q)
         assert not coprime(p * q, q)
+
+    def test_two_constants_give_their_integer_gcd(self):
+        assert poly_gcd(mk(2, {(0, 0): 4}), mk(2, {(0, 0): -6})).to_text() == "2"
+        assert not coprime(mk(2, {(0, 0): 4}), mk(2, {(0, 0): 6}))
+        # a one-term side that is not constant gives a primitive gcd
+        assert poly_gcd(mk(2, {(1, 0): 4}), mk(2, {(1, 0): 6})).to_text() == "x1"
+        assert poly_gcd(mk(2, {(0, 0): 4}), mk(2, {(1, 0): 6})).to_text() == "1"
+
+    @given(
+        nonzero_poly_st(nvars=3, max_exp=3, max_terms=1, max_coeff=12),
+        nonzero_poly_st(nvars=3, max_exp=3, max_terms=5, max_coeff=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_term_side_against_sympy(self, mono, q):
+        xs = sympy.symbols("x1 x2 x3")
+
+        def primitive(poly):
+            _, pp = poly.primitive()
+            return pp if pp.LC() > 0 else -pp
+
+        def to_sympy(h):
+            return sympy.Poly(sympy.sympify(h.to_text().replace("^", "**")), *xs, domain="ZZ")
+
+        expected = primitive(sympy.gcd(to_sympy(mono), to_sympy(q)))
+        for a, b in ((mono, q), (q, mono)):
+            assert primitive(to_sympy(poly_gcd(a, b))) == expected
 
     @given(
         nonzero_poly_st(nvars=2, max_exp=2, max_terms=3, max_coeff=4),

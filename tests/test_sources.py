@@ -58,3 +58,42 @@ def test_no_dead_module_names():
             if not exempt and not uses.get(name, set()) - {index}:
                 dead.append(f"{path.name}:{stmt.lineno} {name}")
     assert dead == []
+
+
+# the only module-level mutable containers: constant tables nothing mutates
+MODULE_CONTAINERS = {
+    ("__init__.py", "__all__"),
+    ("cli.py", "_EXIT_FOR_STATUS"),
+    ("cli.py", "_BUDGET_FLAGS"),
+}
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+FUNCTOOLS_CACHES = {"cache", "lru_cache"}
+
+
+def _is_container(value):
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+        return value.func.id in ("dict", "list", "set")
+    return isinstance(value, CONTAINERS)
+
+
+def test_no_cache_outlives_a_call():
+    # a memo must not carry answers from one call to the next, so that a
+    # repeated input costs what it cost the first time: no functools caches,
+    # and no module-level dict, list or set outside the allowlist
+    found = []
+    for path in sorted(Path(strongpoly.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+                names = {node.attr}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names & FUNCTOOLS_CACHES]
+        for stmt in tree.body:
+            if _is_container(getattr(stmt, "value", None)):
+                for target in _defined_names(stmt):
+                    if (path.name, target) not in MODULE_CONTAINERS:
+                        found.append(f"{path.name}:{stmt.lineno} {target}")
+    assert found == []

@@ -12,6 +12,7 @@ from strongpoly import (
     PROVED,
     PolyVector,
     REFUTED,
+    ResourceBudgetExceeded,
     Ring,
     UNDECIDED,
     Verdict,
@@ -20,13 +21,15 @@ from strongpoly import (
     check_strongly_irreducible,
     check_vector_coprime,
     criterion_system,
+    divides,
     genericity_sample,
     homogenize,
+    monomial_substitute,
     power_substitute,
 )
-from strongpoly import strongcheck
+from strongpoly import factor, strongcheck
 
-from conftest import mk
+from conftest import mk, nonzero_poly_st
 
 R2 = Ring(2, False, ZZ)
 R3 = Ring(3, False, ZZ)
@@ -39,6 +42,15 @@ def check_refutation_reassembles(p, v):
     assert len(factors) >= 2
     assert reduce(lambda a, b: a * b, factors) == power_substitute(p, k)
     return k
+
+
+def assert_common_divisor_divides_both(p, q, v):
+    g = v.witness["common_divisor"]
+    assert not g.is_unit()
+    m = p.ring.nvars
+    for side, images in ((p, v.witness["images_p"]), (q, v.witness["images_q"])):
+        evaluation = monomial_substitute(side, images, m).to_laurent()
+        assert divides(g, evaluation)
 
 
 class TestStronglyIrreducible:
@@ -146,6 +158,33 @@ class TestStronglyCoprime:
         assert v.status == REFUTED
         assert v.witness["common_divisor"].to_text() == "2"
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (mk(2, {(0, 0): 4}), mk(2, {(0, 0): 6})),
+            (mk(2, {(1, 0): 4}), mk(2, {(1, 0): 6})),
+            (mk(2, {(1, 0): 4}, laurent=True), mk(2, {(0, 1): -6}, laurent=True)),
+        ],
+    )
+    def test_constant_evaluations_count_their_content_once(self, p, q):
+        v = check_strongly_coprime(p, q)
+        assert v.status == REFUTED
+        assert v.witness["common_divisor"].to_text() == "2"
+        assert_common_divisor_divides_both(p, q, v)
+
+    @given(
+        st.sampled_from([1, 2, 6]),
+        nonzero_poly_st(nvars=2, max_exp=2, max_terms=3, max_coeff=4),
+        nonzero_poly_st(nvars=2, max_exp=2, max_terms=2, max_coeff=4),
+        nonzero_poly_st(nvars=2, max_exp=2, max_terms=2, max_coeff=4),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_common_divisor_divides_both_evaluations(self, c, shared, a, b):
+        p, q = shared * a, (shared * b).scale(c)
+        v = check_strongly_coprime(p, q)
+        if v.is_refuted:
+            assert_common_divisor_divides_both(p, q, v)
+
     def test_out_of_reach_pair_is_undecided(self):
         p = mk(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         q = mk(2, {(0, 0): 2, (1, 0): 1, (0, 1): -1})
@@ -218,6 +257,62 @@ class TestOptions:
         monkeypatch.setattr(strongcheck, "BOX_MAX", 1)
         tiny = check_strongly_irreducible(p, Budgets(uniform_max=1))
         assert tiny.status in (REFUTED, UNDECIDED)
+
+
+class TestImageMemo:
+    # sparse substitutions q(x^t): at the all-ones point those with the same
+    # main-variable exponent share one univariate image.  Some are proved
+    # irreducible and some are not; the last one's images have degree 324,
+    # past factor.MAX_UV_DEGREE, so factoring each exceeds the degree budget.
+    SUBSTITUTIONS = [
+        (mk(2, {(4, 0): 1, (1, 3): 2, (0, 0): -3}), (1, 1)),
+        (mk(2, {(4, 0): 1, (1, 3): 2, (0, 0): -3}), (2, 3)),
+        (mk(2, {(4, 0): 1, (1, 3): 2, (0, 0): -3}), (4, 4)),
+        (mk(2, {(2, 1): 1, (0, 0): -4}), (1, 1)),
+        (mk(2, {(2, 1): 1, (0, 0): -4}), (1, 2)),
+        (mk(2, {(2, 1): 1, (0, 0): -4}), (2, 2)),
+        (mk(2, {(2, 1): 1, (0, 0): -4}), (3, 2)),
+        (mk(2, {(4, 0): 1, (1, 3): 2, (0, 0): -3}), (81, 110)),
+    ]
+
+    def test_memo_gives_the_answers_computed_without_it(self):
+        subs = [power_substitute(p, t) for p, t in self.SUBSTITUTIONS]
+        with pytest.raises(ResourceBudgetExceeded):
+            factor._uv_factor_primitive([-3] + [0] * 323 + [1])
+        plain = [factor._specialization_proved(s) for s in subs]
+        assert True in plain and False in plain
+        assert factor._IMAGE_MEMO.get() is None
+        memo = {}
+        token = factor._IMAGE_MEMO.set(memo)
+        try:
+            memoized = [factor._specialization_proved(s) for s in subs + subs[::-1]]
+        finally:
+            factor._IMAGE_MEMO.reset(token)
+        assert memoized == plain + plain[::-1]
+        assert memo[(-3,) + (0,) * 323 + (1,)] is False
+        assert factor._IMAGE_MEMO.get() is None
+
+    def test_memo_lives_for_one_search(self, monkeypatch):
+        p = mk(2, {(4, 0): 1, (1, 3): 2, (0, 0): -3})
+        seen = []
+        irreducible = strongcheck.is_irreducible
+
+        def watching(sub, budgets):
+            seen.append(factor._IMAGE_MEMO.get())
+            return irreducible(sub, budgets)
+
+        monkeypatch.setattr(strongcheck, "is_irreducible", watching)
+        check_strongly_irreducible(p)
+        assert seen and all(memo is seen[0] and isinstance(memo, dict) for memo in seen)
+        assert factor._IMAGE_MEMO.get() is None
+
+        def failing(sub, budgets):
+            raise RuntimeError("stop the search")
+
+        monkeypatch.setattr(strongcheck, "is_irreducible", failing)
+        with pytest.raises(RuntimeError):
+            check_strongly_irreducible(p)
+        assert factor._IMAGE_MEMO.get() is None
 
 
 class TestVerdict:
