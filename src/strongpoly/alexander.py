@@ -26,13 +26,13 @@ from .ring import (
     _add_shifted,
     divides,
     exact_divide,
-    grlex_key,
     laurent_normalize,
 )
 from .verdict import PROVED
 
-# Work units of elementary_ideal's cofactor expansion: one per row selection,
-# and for each product of an entry with a partial minor, its term products + 1.
+# Work units of one cofactor expansion (elementary_ideal's, or the rank's
+# greedy pass): one per row selection of elementary_ideal, and for each
+# product of an entry with a partial minor, its term products + 1.
 MAX_MINOR_WORK = 2_000_000
 # Letters the braid action rewrites, summed over crossings.  Each crossing
 # rewrites every letter of every meridian image, so the work grows
@@ -84,48 +84,54 @@ class ModulePresentation:
         return cls(ring, rows, ncols)
 
 
+def _next_layer(layer: dict, row: list, work: list) -> dict:
+    """The nonzero partial minors after one more row of the cofactor
+    expansion.
+
+    layer maps each sorted column set of the rows taken so far to the term
+    dict of their minor on those columns; row is the next row's term dicts.
+    Column j enters with sign (-1)^#(used columns > j).  work is a one-item
+    list of the MAX_MINOR_WORK units left.
+    """
+    nxt: dict = {}
+    for cols, minor in layer.items():
+        for j, entry in enumerate(row):
+            if not entry or j in cols:
+                continue
+            _spend(work, len(entry) * len(minor) + 1)
+            acc = nxt.setdefault(tuple(sorted(cols + (j,))), {})
+            sign = -1 if sum(c > j for c in cols) % 2 else 1
+            for m, c in entry.items():
+                _add_shifted(acc, minor, sign * c, m)
+    return {cols: minor for cols, minor in nxt.items() if minor}
+
+
+def _spend(work: list, units: int) -> None:
+    work[0] -= units
+    if work[0] < 0:
+        raise ResourceBudgetExceeded("minors", f"minors need over {MAX_MINOR_WORK} work units")
+
+
 def presentation_rank(pres: ModulePresentation) -> int:
     """Rank of the relation matrix over the fraction field.
 
-    Fraction-free elimination with full pivoting; the pivot is the nonzero
-    entry with the fewest terms, which keeps intermediate minors small.
-    Every division is by the previous pivot and is exact by the Sylvester
-    determinant identity.
+    A greedy pass of the cofactor expansion over the rows: a row is kept
+    when the layer after the kept rows and it is nonempty.  The layer after
+    rows K holds every nonzero |K| x |K| minor of K, so it is nonempty
+    exactly when the rows of K are independent over the fraction field.
+    Independent row sets form a matroid, so the greedy pass ends on a basis,
+    and the rank is its size.  No division is made.  Raises
+    ResourceBudgetExceeded("minors") once the expansion passes
+    MAX_MINOR_WORK.
     """
-    m = [list(row) for row in pres.rows]
-    if not m:
-        return 0
-    nr, nc = len(m), pres.ncols
+    work = [MAX_MINOR_WORK]
+    layer = {(): {(0,) * pres.ring.nvars: 1}}
     rank = 0
-    prev = LaurentPoly.one(pres.ring)
-    while True:
-        best = None
-        for i in range(rank, nr):
-            for j in range(rank, nc):
-                e = m[i][j]
-                if e.is_zero():
-                    continue
-                key = (e.num_terms(), grlex_key(e.leading_monomial()), i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            return rank
-        bi, bj = best[2], best[3]
-        m[rank], m[bi] = m[bi], m[rank]
-        if bj != rank:
-            for row in m:
-                row[rank], row[bj] = row[bj], row[rank]
-        piv = m[rank][rank]
-        for i in range(rank + 1, nr):
-            for j in range(rank + 1, nc):
-                num = m[i][j] * piv - m[i][rank] * m[rank][j]
-                q = exact_divide(num, prev)
-                if q is None:
-                    raise RuntimeError("fraction-free elimination lost exactness")
-                m[i][j] = q
-            m[i][rank] = LaurentPoly.zero(pres.ring)
-        prev = piv
-        rank += 1
+    for row in pres.rows:
+        if nxt := _next_layer(layer, [e.term_dict() for e in row], work):
+            layer = nxt
+            rank += 1
+    return rank
 
 
 def free_rank(pres: ModulePresentation) -> int:
@@ -145,29 +151,16 @@ def elementary_ideal(pres: ModulePresentation, k: int) -> IdealBasis:
         raise ValueError("elementary ideal index must be >= 0")
     ring = pres.ring.ordinary_version()
     size = max(pres.ncols - k, 0)
-    # Each row selection is expanded once, row by row, into partial minors keyed
-    # by their sorted columns; column j enters with sign (-1)^#(used columns > j).
-    exhausted = ResourceBudgetExceeded("minors", f"minors need over {MAX_MINOR_WORK} work units")
-    if (work := comb(pres.nrows, size)) > MAX_MINOR_WORK:
-        raise exhausted
+    # Each row selection is expanded once, row by row, and every column
+    # selection of those rows shares its partial minors.
+    work = [MAX_MINOR_WORK]
+    _spend(work, comb(pres.nrows, size))
     rows = [[e.term_dict() for e in row] for row in pres.rows]
     gens = set()
     for rsel in combinations(range(pres.nrows), size):
         layer = {(): {(0,) * ring.nvars: 1}}
         for i in rsel:
-            nxt: dict = {}
-            for cols, minor in layer.items():
-                for j, entry in enumerate(rows[i]):
-                    if not entry or j in cols:
-                        continue
-                    work += len(entry) * len(minor) + 1
-                    if work > MAX_MINOR_WORK:
-                        raise exhausted
-                    acc = nxt.setdefault(tuple(sorted(cols + (j,))), {})
-                    sign = -1 if sum(c > j for c in cols) % 2 else 1
-                    for m, c in entry.items():
-                        _add_shifted(acc, minor, sign * c, m)
-            layer = {cols: minor for cols, minor in nxt.items() if minor}
+            layer = _next_layer(layer, rows[i], work)
         for minor in layer.values():
             gens.add(laurent_normalize(LaurentPoly(pres.ring, minor))[0].sign_normalized())
     return IdealBasis(ring, tuple(sorted(gens, key=lambda g: sorted(g.term_dict().items()))))

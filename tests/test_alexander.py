@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
@@ -154,6 +155,8 @@ class TestElementaryIdeals:
     @given(small_matrices())
     @settings(max_examples=60, deadline=None)
     def test_generators_are_the_nonzero_minors(self, m):
+        # the rank is the largest size with a nonzero Leibniz minor
+        rank = 0
         for k in range(m.ncols + 2):
             size = max(m.ncols - k, 0)
             expected = set()
@@ -165,6 +168,9 @@ class TestElementaryIdeals:
             gens = elementary_ideal(m, k).generators
             assert len(gens) == len(expected)
             assert set(gens) == expected
+            if expected:
+                rank = max(rank, size)
+        assert presentation_rank(m) == rank
 
     def test_dense_ten_by_ten_determinant(self):
         m = dense_matrix(10, 7)
@@ -188,14 +194,18 @@ class TestElementaryIdeals:
         assert ratio.denominator & (ratio.denominator - 1) == 0
 
     @pytest.mark.parametrize(
-        "m, k",
-        [(dense_matrix(16, 1), 0), (pres([[LaurentPoly.zero(L1)] * 40] * 40), 20)],
-        ids=["dense-16x16", "zero-40x40"],
+        "call, m",
+        [
+            (partial(elementary_ideal, k=0), dense_matrix(16, 1)),
+            (partial(elementary_ideal, k=20), pres([[LaurentPoly.zero(L1)] * 40] * 40)),
+            (free_rank, dense_matrix(16, 1)),
+        ],
+        ids=["dense-16x16", "zero-40x40", "rank-dense-16x16"],
     )
-    def test_work_budget_ends_fast(self, m, k):
+    def test_work_budget_ends_fast(self, call, m):
         start = time.monotonic()
         with pytest.raises(ResourceBudgetExceeded) as err:
-            elementary_ideal(m, k)
+            call(m)
         assert err.value.kind == "minors"
         assert time.monotonic() - start < 10
 
