@@ -112,8 +112,8 @@ def _spend(work: list, units: int) -> None:
         raise ResourceBudgetExceeded("minors", f"minors need over {MAX_MINOR_WORK} work units")
 
 
-def presentation_rank(pres: ModulePresentation) -> int:
-    """Rank of the relation matrix over the fraction field.
+def _rank_layer(pres: ModulePresentation) -> tuple[int, dict]:
+    """The rank of the relation matrix and the layer after the kept rows.
 
     A greedy pass of the cofactor expansion over the rows: a row is kept
     when the layer after the kept rows and it is nonempty.  The layer after
@@ -131,7 +131,12 @@ def presentation_rank(pres: ModulePresentation) -> int:
         if nxt := _next_layer(layer, [e.term_dict() for e in row], work):
             layer = nxt
             rank += 1
-    return rank
+    return rank, layer
+
+
+def presentation_rank(pres: ModulePresentation) -> int:
+    """Rank of the relation matrix over the fraction field (see _rank_layer)."""
+    return _rank_layer(pres)[0]
 
 
 def free_rank(pres: ModulePresentation) -> int:
@@ -149,21 +154,32 @@ def elementary_ideal(pres: ModulePresentation, k: int) -> IdealBasis:
     """
     if k < 0:
         raise ValueError("elementary ideal index must be >= 0")
-    ring = pres.ring.ordinary_version()
     size = max(pres.ncols - k, 0)
     # Each row selection is expanded once, row by row, and every column
     # selection of those rows shares its partial minors.
     work = [MAX_MINOR_WORK]
     _spend(work, comb(pres.nrows, size))
     rows = [[e.term_dict() for e in row] for row in pres.rows]
-    gens = set()
-    for rsel in combinations(range(pres.nrows), size):
-        layer = {(): {(0,) * ring.nvars: 1}}
-        for i in rsel:
-            layer = _next_layer(layer, rows[i], work)
-        for minor in layer.values():
-            gens.add(laurent_normalize(LaurentPoly(pres.ring, minor))[0].sign_normalized())
-    return IdealBasis(ring, tuple(sorted(gens, key=lambda g: sorted(g.term_dict().items()))))
+
+    def minors():
+        for rsel in combinations(range(pres.nrows), size):
+            layer = {(): {(0,) * pres.ring.nvars: 1}}
+            for i in rsel:
+                layer = _next_layer(layer, rows[i], work)
+            yield from layer.values()
+
+    return _minor_ideal(pres.ring, minors())
+
+
+def _minor_ideal(ring: Ring, minors) -> IdealBasis:
+    """The ideal of the given minors (term dicts over the Laurent ring),
+    each stripped of its monomial unit and sign-normalized, as a sorted
+    basis over the ordinary version of the ring."""
+    gens = {laurent_normalize(LaurentPoly(ring, m))[0].sign_normalized() for m in minors}
+    return IdealBasis(
+        ring.ordinary_version(),
+        tuple(sorted(gens, key=lambda g: sorted(g.term_dict().items()))),
+    )
 
 
 def canonical_associate(p: LaurentPoly) -> LaurentPoly:
@@ -193,8 +209,15 @@ def divisorial_hull(ideal: IdealBasis) -> LaurentPoly:
 
 def torsion_alexander_poly(pres: ModulePresentation) -> LaurentPoly:
     """Order of the torsion submodule: the divisorial hull of the
-    elementary ideal taken at the free rank."""
-    return divisorial_hull(elementary_ideal(pres, free_rank(pres)))
+    elementary ideal taken at the free rank.
+
+    When the rank pass keeps every row, that ideal's only row selection is
+    all the rows, and the pass's last layer already holds its minors.
+    """
+    rank, layer = _rank_layer(pres)
+    if rank == pres.nrows:
+        return divisorial_hull(_minor_ideal(pres.ring, layer.values()))
+    return divisorial_hull(elementary_ideal(pres, pres.ncols - rank))
 
 
 # -- Fox calculus and braid closures ---------------------------------------

@@ -35,12 +35,39 @@ full reduced basis, each of them sound:
   contains every monomial of degree D too.  A False answer mod
   p, or an exhausted budget there, says nothing about Q, so the exact run
   alone decides False and budget exhaustion.
+
+With exactly n generators, of degrees d_1, ..., d_n, the pair loop is also
+driven by the Hilbert function of a complete intersection (C. Traverso,
+J. Symbolic Comput. 22, 1996): the h-vector h of the product of the
+(1 + t + ... + t^(d_i - 1)).  Pairs go by degree and every element is
+homogeneous, so while the loop works on degree d, the degree-d multiples of
+the known elements span a subspace of I_d of dimension dim R_d - |S_d|,
+where S_d is the set of degree-d monomials that no lead divides; once every
+degree-d pair is done, they span all of I_d.  Two rules use it, over Q and
+mod p alike:
+
+- Skip rule.  Forms of degrees d_1..d_n span at most dim R_d - h_d in
+  degree d: that is the rank of the degree-d Macaulay matrix of a regular
+  sequence such as x_i^(d_i), and generic forms, an open set that meets
+  the regular sequences, reach the largest rank (over the algebraic
+  closure of the field, which leaves every rank as it is).  So
+  |S_d| >= h_d always, and once |S_d| = h_d the known elements span all of
+  I_d: every pending degree-d pair reduces to zero.  Such a pair is popped
+  and counted against the S-pair budget, but neither reduced nor tested by
+  the criteria.
+- Early False.  With only the trivial zero, the n forms are a regular
+  sequence, so R/I has the Hilbert function h.  Once the smallest pending
+  pair has degree above d, the leads give R/I its dimension |S_d| in degree
+  d; if that exceeds h_d, the answer is False.  Mod p this is a False
+  answer like any other, and the exact run decides.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, neg
@@ -290,13 +317,87 @@ def _interreduce(reducers: list) -> list:
     return out
 
 
-def _complete(red: _Reducers, max_pairs: int, cap: int | None = None) -> bool:
+def _h_vector(degrees) -> list[int]:
+    """Coefficients of the product of the (1 + t + ... + t^(d - 1)) over
+    degrees: the Hilbert function of a complete intersection."""
+    h = [1]
+    for d in degrees:
+        out = [0] * (len(h) + d - 1)
+        for i, c in enumerate(h):
+            for k in range(i, i + d):
+                out[k] += c
+        h = out
+    return h
+
+
+class _Standard:
+    """The standard monomials S_d (those no lead divides) of the degree d
+    a Hilbert-driven pair loop works on, against the h-vector of its
+    generators (see the module docstring).
+
+    At the lowest generator degree only their count is kept; the set is
+    built when the loop leaves that degree.
+    """
+
+    def __init__(self, leads: list, hilbert: list[int]):
+        self.hilbert = hilbert
+        self.leads = set(leads)
+        self.nvars = len(leads[0])
+        self.deg = min(map(sum, leads))
+        self.monos = None
+        self.count = math.comb(self.deg + self.nvars - 1, self.nvars - 1) - sum(
+            sum(lm) == self.deg for lm in self.leads
+        )
+
+    def _h(self) -> int:
+        return self.hilbert[self.deg] if self.deg < len(self.hilbert) else 0
+
+    def filled(self) -> bool:
+        """Whether every pending pair of the current degree reduces to zero."""
+        return self.count == self._h()
+
+    def add_lead(self, lm) -> None:
+        """Record a new lead of the current degree."""
+        self.leads.add(lm)
+        self.count -= 1
+        if self.monos is not None:
+            self.monos.discard(lm)
+
+    def advance(self, deg: int) -> bool:
+        """Step up to degree deg, every degree below it being complete;
+        False at the first of them with more standard monomials than h."""
+        n, leads = self.nvars, self.leads
+        while self.deg < deg:
+            if self.count > self._h():
+                return False
+            if self.monos is None:
+                self.monos = {
+                    m
+                    for c in itertools.combinations_with_replacement(range(n), self.deg)
+                    if (m := tuple(map(c.count, range(n)))) not in leads
+                }
+            # M is standard iff it is no lead and every M / x_j is standard,
+            # that is, iff as many standard monomials as M has variables
+            # reach it by one multiplication
+            hits = Counter(s[:j] + (s[j] + 1,) + s[j + 1:] for s in self.monos for j in range(n))
+            self.monos = {m for m, k in hits.items() if k == n - m.count(0) and m not in leads}
+            self.deg += 1
+            self.count = len(self.monos)
+        return True
+
+
+def _complete(
+    red: _Reducers, max_pairs: int, cap: int | None = None, hilbert: list[int] | None = None
+) -> bool:
     """Buchberger's pair loop: extend red to a Groebner basis.
 
     Without cap it runs until no pair is left and returns False.  With cap,
     for a homogeneous system of positive degree (see the module docstring),
     it returns True as soon as every variable has a pure-power lead, and
-    False once the smallest pending pair has lcm degree above cap.
+    False once the smallest pending pair has lcm degree above cap.  With
+    hilbert too, the h-vector of n generators in n variables, it skips the
+    pairs of a degree whose standard monomials number h_d, and returns False
+    at the first complete degree with more.
     """
     reducers = red.triples
     nvars = len(reducers[0][0])
@@ -323,15 +424,21 @@ def _complete(red: _Reducers, max_pairs: int, cap: int | None = None) -> bool:
         for j in range(i + 1, len(reducers)):
             push_pair(i, j)
 
+    std = None if hilbert is None else _Standard([lm for lm, _, _ in reducers], hilbert)
     popped = 0
     while pairs:
-        if cap is not None and pairs[0][0][0] > cap:  # the smallest lcm degree
+        deg = pairs[0][0][0]  # the smallest lcm degree
+        if cap is not None and deg > cap:
+            return False
+        if std is not None and not std.advance(deg):
             return False
         _, i, j, L = heapq.heappop(pairs)
         handled.add((i, j))
         popped += 1
         if popped > max_pairs:
             raise ResourceBudgetExceeded("gb-pairs", f"S-pair budget {max_pairs} exceeded")
+        if std is not None and std.filled():
+            continue  # it reduces to zero
         # coprime-leads criterion
         if all(min(a, b) == 0 for a, b in zip(reducers[i][0], reducers[j][0])):
             continue
@@ -354,6 +461,8 @@ def _complete(red: _Reducers, max_pairs: int, cap: int | None = None) -> bool:
         red.append(_reducer(r, red.p))
         if len(reducers) > MAX_BASIS:
             raise ResourceBudgetExceeded("gb-basis", f"basis size budget {MAX_BASIS} exceeded")
+        if std is not None:
+            std.add_lead(reducers[-1][0])
         if cap is not None and settles(reducers[-1][0]):
             return True
         new = len(reducers) - 1
@@ -434,7 +543,8 @@ def _trivial_zero_only(gens: list[dict], nvars: int, max_pairs: int, p: int = 0)
     if len(degrees) < nvars:
         return False
     red = _Reducers((_reducer(d, p) for d in gens), p)
-    return _complete(red, max_pairs, cap=sum(degrees[:nvars]) - nvars + 1)
+    hilbert = _h_vector(degrees) if len(degrees) == nvars else None
+    return _complete(red, max_pairs, cap=sum(degrees[:nvars]) - nvars + 1, hilbert=hilbert)
 
 
 def only_trivial_solution(I: IdealBasis, budgets: Budgets = Budgets()) -> bool:
@@ -446,7 +556,16 @@ def only_trivial_solution(I: IdealBasis, budgets: Budgets = Budgets()) -> bool:
     once every variable has a pure-power lead (True), and at Lazard's
     degree D = d_1 + ... + d_n - n + 1 of the n largest generator degrees,
     where an ideal with only the trivial zero already contains every
-    monomial of degree D (False).  The first run is mod PRIME; a True
+    monomial of degree D (False).  With exactly n generators the pair loop
+    also follows h, the Hilbert function of a complete intersection of
+    their degrees.  Forms of those degrees span at most dim R_d - h_d in
+    degree d (a regular sequence spans that much, and generic forms, an
+    open set meeting the regular sequences, span the most), so once the
+    standard monomials of degree d number h_d, the pending degree-d pairs
+    all reduce to zero and are skipped, though counted as S-pairs.  With
+    only the trivial zero the forms are a regular sequence and R/I has
+    Hilbert function h, so a complete degree with more standard monomials
+    than h_d gives False.  The first run is mod PRIME; a True
     answer there is final, because the degree-D Macaulay matrix's rank mod
     p is at most its rank over Q.  Otherwise, or when that run exhausts a
     budget, the exact run over Q decides.  The tests check the answer

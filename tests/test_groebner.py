@@ -14,11 +14,14 @@ from strongpoly import (
     ResourceBudgetExceeded,
     Ring,
     buchberger,
+    homogenize,
     laurent_member,
     only_trivial_solution,
+    parse_polynomial,
 )
 from strongpoly import groebner
 from strongpoly.groebner import PRIME, ideal_member, radical_member
+from strongpoly.strongcheck import criterion_system
 
 from conftest import nonzero_poly_st
 
@@ -266,4 +269,76 @@ class TestOnlyTrivialSolution:
         assume(gens)
         I = IdealBasis.from_polys(gens, R)
         radical = all(radical_member(LaurentPoly.variable(R, i), I) for i in range(n))
+        assert only_trivial_solution(I) == radical
+
+    def test_h_vector(self):
+        assert groebner._h_vector([2, 2, 2]) == [1, 3, 3, 1]
+        assert groebner._h_vector([2, 3, 1]) == [1, 2, 2, 1]
+        assert groebner._h_vector([3, 3, 3, 3]) == [1, 4, 10, 16, 19, 16, 10, 4, 1]
+
+    def test_surplus_ends_the_run_early(self):
+        # the system of x1*x2 - 1 is <-2*z1^2, z2*z3, z2*z3>: after the one
+        # degree-2 pair, degree 2 has four standard monomials where a regular
+        # sequence of three quadrics leaves h_2 = 3, so no second pair is taken
+        I = criterion_system(homogenize(parse_polynomial("x1*x2 - 1", nvars=2)))
+        assert len(I.generators) == 3 and I.generators[1] == I.generators[2]
+        assert not only_trivial_solution(I, Budgets(max_pairs=1))
+        assert not only_trivial_solution(I)
+
+    def test_a_filled_degree_skips_its_pair(self, monkeypatch):
+        # <x^2 + yz, y^3, z + 2x> has h = 1, 2, 2, 1.  The degree-2 pair adds
+        # a lead yz, which leaves z^3 the one standard monomial of degree 3,
+        # so the degree-3 pair is popped without being reduced
+        skipped = []
+        filled = groebner._Standard.filled
+
+        def spy(std):
+            if filled(std):
+                skipped.append(std.deg)
+                return True
+            return False
+
+        monkeypatch.setattr(groebner._Standard, "filled", spy)
+        I = basis(
+            Q3,
+            {(2, 0, 0): 1, (0, 1, 1): 1},
+            {(0, 3, 0): 1},
+            {(0, 0, 1): 1, (1, 0, 0): 2},
+        )
+        assert only_trivial_solution(I)
+        assert skipped == [3]
+        # the skipped pair still counts as an S-pair: three are needed, as
+        # in a run that reduces it
+        with pytest.raises(ResourceBudgetExceeded):
+            only_trivial_solution(I, Budgets(max_pairs=2))
+        assert only_trivial_solution(I, Budgets(max_pairs=3))
+
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.integers(1, 3),
+                    st.lists(st.sampled_from([0, 0, 0, 1, 1, -1, 2]), min_size=20, max_size=20),
+                ),
+                min_size=n,
+                max_size=n,
+            ).map(lambda forms: (n, forms))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_square_systems_agree_with_the_radical_reference(self, system):
+        # exactly n generators, so the Hilbert-driven rules are in play
+        n, forms = system
+        R = Ring(n, False, QQ)
+        gens = []
+        for degree, coeffs in forms:
+            monos = sorted(m for m in itertools.product(range(degree + 1), repeat=n)
+                           if sum(m) == degree)
+            gens.append(LaurentPoly(R, {m: c for m, c in zip(monos, coeffs) if c}))
+        assume(all(not g.is_zero() for g in gens))
+        I = IdealBasis.from_polys(gens, R)
+        try:
+            radical = all(radical_member(LaurentPoly.variable(R, i), I) for i in range(n))
+        except ResourceBudgetExceeded:
+            assume(False)
         assert only_trivial_solution(I) == radical

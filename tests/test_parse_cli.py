@@ -225,6 +225,13 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "passes: 1/1" in proc.stdout
 
+    def test_genericity_five_cubic_variables_is_decided(self):
+        # the Hilbert-driven pair loop decides this trial; without it the
+        # trial exhausted the reduction-work budget
+        proc = run_cli("genericity", "--vars", "5", "--degree", "3", "--trials", "1", timeout=10)
+        assert proc.returncode == 0
+        assert "passes: 1/1" in proc.stdout
+
     def test_genericity_reduction_work_is_bounded(self):
         # six variables at degree 3 exhaust the reduction-work budget in both
         # criterion runs instead of running on in Buchberger

@@ -25,9 +25,10 @@ from strongpoly import (
     genericity_sample,
     homogenize,
     monomial_substitute,
+    parse_polynomial,
     power_substitute,
 )
-from strongpoly import factor, strongcheck
+from strongpoly import factor, groebner, strongcheck
 
 from conftest import mk, nonzero_poly_st
 
@@ -246,6 +247,31 @@ class TestGenericity:
             genericity_sample(3, 2, trials=0)
         with pytest.raises(ValueError):
             genericity_sample(3, 2, trials=5, coeff_box=0)
+
+
+class TestCriterionWork:
+    def test_dense_cubic_proof_reduces_few_pairs(self, monkeypatch):
+        # a dense three-variable cubic: its criterion runs skip the pairs of
+        # every degree the complete-intersection Hilbert function fills, so
+        # the proof takes 42 normal forms, not the 91 (55 of them zero) of a
+        # pair loop without it
+        p = parse_polynomial(
+            "-7*x3^3 - 8*x2*x3^2 - 9*x2^2*x3 + 7*x2^3 - 6*x1*x3^2 + x1*x2*x3"
+            " - 7*x1*x2^2 + 3*x1^2*x3 - 8*x1^2*x2 + 8*x1^3 - 6*x3^2 + 8*x2*x3 + x2^2"
+            " - x1*x3 + 2*x1*x2 + 8*x1^2 + 5*x3 + 7*x2 - 5*x1 + 8",
+            nvars=3,
+        )
+        calls = []
+        normal_form = groebner._normal_form
+
+        def counted(f, red):
+            calls.append(1)
+            return normal_form(f, red)
+
+        monkeypatch.setattr(groebner, "_normal_form", counted)
+        v = check_strongly_irreducible(p)
+        assert (v.status, v.rule) == (PROVED, "criterion")
+        assert len(calls) <= 50
 
 
 class TestOptions:
