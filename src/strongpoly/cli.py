@@ -19,6 +19,7 @@ from .errors import Budgets, ResourceBudgetExceeded
 from .factor import is_irreducible
 from .groebner import IdealBasis
 from .parse import (
+    MAX_VARS,
     ParseError,
     parse_braid,
     parse_exponent_pairs,
@@ -326,6 +327,17 @@ def _budget(text: str) -> int:
     return value
 
 
+def _count(text: str) -> int:
+    """A count of variables or strands, at most parse.MAX_VARS."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
+    if value > MAX_VARS:
+        raise argparse.ArgumentTypeError(f"{value} is more than {MAX_VARS}")
+    return value
+
+
 # flag -> (Budgets field it sets, help); a subcommand declares the flags it honours
 _BUDGET_FLAGS = {
     "--max-degree": ("max_kron_degree", "Kronecker image degree cap for multivariate factoring"),
@@ -411,14 +423,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("torsion-alex", help="torsion Alexander polynomial")
     s.add_argument("--braid", help="braid word, e.g. 's1 s1 s1'")
-    s.add_argument("--strands", type=int)
+    s.add_argument("--strands", type=_count)
     s.add_argument("--stdin", action="store_true", help="read a matrix JSON from stdin")
     _add_common(s, vars_flag=False)
     s.set_defaults(handler=_cmd_torsion_alex)
 
     s = subs.add_parser("braid-alex", help="closure report for a braid word")
     s.add_argument("--braid", required=True)
-    s.add_argument("--strands", type=int, required=True)
+    s.add_argument("--strands", type=_count, required=True)
     _add_common(s, vars_flag=False)
     s.set_defaults(handler=_cmd_braid_alex)
 
@@ -443,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=_cmd_reduce_ideal)
 
     s = subs.add_parser("genericity", help="sampled pass rate of the singular-locus criterion")
-    s.add_argument("--vars", type=int, required=True)
+    s.add_argument("--vars", type=_count, required=True)
     s.add_argument("--degree", type=int, required=True)
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)

@@ -21,6 +21,11 @@ past three or four variables; it can only ever prove irreducibility, never
 claim a factorization, so the two routes cannot contradict each other.
 Everything returns an honest UNDECIDED("resource-...") verdict when its
 budget runs out.
+
+The dense layer has one long division, _uv_divmod (over Z, or mod a prime
+or prime power), under Berlekamp, Hensel lifting, Yun, the gcd's pseudo-
+remainders and every trial division, and one subset search, _recombine,
+under both the Zassenhaus recombination and the Kronecker lift.
 """
 
 from __future__ import annotations
@@ -123,41 +128,42 @@ def _uv_primitive(f) -> list:
 def _uv_deriv(f):
     return _uv_trim([i * f[i] for i in range(1, len(f))])
 
-def _uv_exact_div(f, g):
-    """f // g over Z when exact, else None."""
+def _uv_divmod(f, g, m=0):
+    """(quotient, remainder) of f by g: over Z when m is 0, else mod m, a
+    prime or a prime power.
+
+    Over Z each quotient coefficient must be an integer, and the result is
+    None as soon as one is not.  Mod m, lc(g) must be a unit, and a failure
+    is an internal error, not bad input; the subtractions go unreduced, and
+    the remainder is reduced into [0, m) once, at the end.
+    """
     if not g:
         raise ZeroDivisionError
-    if not f:
-        return []
-    if len(f) < len(g):
-        return None
-    rem = list(f)
-    out = [0] * (len(f) - len(g) + 1)
     glc = g[-1]
+    if m:
+        try:
+            inv = pow(glc, -1, m)
+        except ValueError:
+            raise RuntimeError(f"leading coefficient {glc} is not a unit mod {m}") from None
+        rem = _uv_mod(f, m)
+    else:
+        rem = list(f)
+    dg = len(g) - 1
+    out = [0] * max(len(rem) - dg, 0)
     for k in range(len(out) - 1, -1, -1):
-        c = rem[k + len(g) - 1]
-        if c % glc:
+        c = rem[k + dg]
+        if m:
+            q = c * inv % m
+        elif c % glc:
             return None
-        q = c // glc
+        else:
+            q = c // glc
         out[k] = q
         if q:
             for j, b in enumerate(g):
                 rem[k + j] -= q * b
-    return _uv_trim(out) if not any(rem) else None
-
-def _uv_prem(f, g):
-    """Pseudo-remainder of f by g (up to a power of lc(g))."""
-    df, dg = _uv_deg(f), _uv_deg(g)
-    r = list(f)
-    glc = g[-1]
-    while r and _uv_deg(r) >= dg:
-        shift = _uv_deg(r) - dg
-        rlc = r[-1]
-        r = _uv_scale(r, glc)
-        for j, b in enumerate(g):
-            r[shift + j] -= rlc * b
-        r = _uv_trim(r)
-    return r
+    rem = rem[:dg]
+    return _uv_trim(out), _uv_mod(rem, m) if m else _uv_trim(rem)
 
 def _uv_gcd(f, g) -> list:
     """gcd over Z via the primitive pseudo-remainder sequence."""
@@ -171,44 +177,20 @@ def _uv_gcd(f, g) -> list:
     if _uv_deg(a) < _uv_deg(b):
         a, b = b, a
     while b:
-        r = _uv_prem(a, b)
-        a, b = b, _uv_primitive(r)
+        # lc(b)^(deg a - deg b + 1) * a divides exactly by b over Z, and its
+        # remainder is the pseudo-remainder up to a positive factor
+        lifted = _uv_scale(a, b[-1] ** (len(a) - len(b) + 1))
+        a, b = b, _uv_primitive(_uv_divmod(lifted, b)[1])
     return _uv_scale(_uv_primitive(a), math.gcd(cf, cg))
 
 
 # -- GF(p) arithmetic ---------------------------------------------------
 
 
-def _gf_mul(f, g, p):
-    return _uv_mod(_uv_mul(f, g), p)
-
-def _gf_divmod(f, g, p):
-    """Division with remainder mod p, a prime or a prime power.
-
-    lc(g) must be a unit mod p; a failure is an internal error, not bad input.
-    """
-    if not g:
-        raise ZeroDivisionError
-    try:
-        inv = pow(g[-1], -1, p)
-    except ValueError:
-        raise RuntimeError(f"leading coefficient {g[-1]} is not a unit mod {p}") from None
-    rem = _uv_mod(f, p)
-    if len(rem) < len(g):
-        return [], rem
-    out = [0] * (len(rem) - len(g) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        q = rem[k + len(g) - 1] * inv % p
-        out[k] = q
-        if q:
-            for j, b in enumerate(g):
-                rem[k + j] = (rem[k + j] - q * b) % p
-    return _uv_trim(out), _uv_trim(rem)
-
 def _gf_gcd(f, g, p):
     a, b = _uv_mod(f, p), _uv_mod(g, p)
     while b:
-        a, b = b, _gf_divmod(a, b, p)[1]
+        a, b = b, _uv_divmod(a, b, p)[1]
     return _gf_monic(a, p)
 
 def _gf_monic(f, p):
@@ -223,10 +205,10 @@ def _gf_pow_mod(base, e, mod, p):
     b = list(base)
     while e:
         if e & 1:
-            result = _gf_divmod(_gf_mul(result, b, p), mod, p)[1]
+            result = _uv_divmod(_uv_mul(result, b), mod, p)[1]
         e >>= 1
         if e:
-            b = _gf_divmod(_gf_mul(b, b, p), mod, p)[1]
+            b = _uv_divmod(_uv_mul(b, b), mod, p)[1]
     return result
 
 def _gf_xgcd(f, g, p):
@@ -235,7 +217,7 @@ def _gf_xgcd(f, g, p):
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _gf_divmod(r0, r1, p)
+        q, r = _uv_divmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _uv_mod(_uv_sub(s0, _uv_mul(q, s1)), p)
         t0, t1 = t1, _uv_mod(_uv_sub(t0, _uv_mul(q, t1)), p)
@@ -256,7 +238,7 @@ def _berlekamp(f, p) -> list:
     cur = [1]
     for _ in range(n):
         rows.append(cur + [0] * (n - len(cur)))
-        cur = _gf_divmod(_gf_mul(cur, xp, p), f, p)[1]
+        cur = _uv_divmod(_uv_mul(cur, xp), f, p)[1]
     # Berlekamp's vectors v with v*Q = v span the right nullspace of (Q - I)^T
     T = [[(rows[i][j] - (i == j)) % p for i in range(n)] for j in range(n)]
     basis = _gf_nullspace(T, p)
@@ -282,7 +264,7 @@ def _berlekamp(f, p) -> list:
                 g = _gf_gcd(rest, shifted, p)
                 if 0 < _uv_deg(g) <= _uv_deg(rest):
                     pieces.append(g)
-                    rest = _gf_divmod(rest, g, p)[0]
+                    rest = _uv_divmod(rest, g, p)[0]
             if _uv_deg(rest) >= 1:
                 pieces.append(_gf_monic(rest, p))
             new_factors.extend(pieces if pieces else [u])
@@ -328,11 +310,11 @@ def _hensel_step(f, g, h, s, t, m):
     """One quadratic Hensel step: all invariants mod m lift to mod m*m."""
     mm = m * m
     e = _uv_mod(_uv_sub(f, _uv_mul(g, h)), mm)
-    q, r = _gf_divmod(_uv_mul(s, e), h, mm)
+    q, r = _uv_divmod(_uv_mul(s, e), h, mm)
     g1 = _uv_mod(_uv_add(g, _uv_add(_uv_mul(t, e), _uv_mul(q, g))), mm)
     h1 = _uv_mod(_uv_add(h, r), mm)
     b = _uv_mod(_uv_sub(_uv_add(_uv_mul(s, g1), _uv_mul(t, h1)), [1]), mm)
-    c, d = _gf_divmod(_uv_mul(s, b), h1, mm)
+    c, d = _uv_divmod(_uv_mul(s, b), h1, mm)
     s1 = _uv_mod(_uv_sub(s, d), mm)
     t1 = _uv_mod(_uv_sub(t, _uv_add(_uv_mul(t, b), _uv_mul(c, g1))), mm)
     return _uv_sym(g1, mm), _uv_sym(h1, mm), _uv_sym(s1, mm), _uv_sym(t1, mm)
@@ -398,9 +380,9 @@ MR_CERTIFIED_BELOW = 3_317_044_064_679_887_385_961_981
 MAX_TRIAL_DIVISORS = 10_000
 MAX_RHO_STEPS = 3_000_000
 # Factoring budgets: the largest univariate degree Zassenhaus takes on, the
-# most Kronecker-image factors the lift recombines, the subsets either
-# recombination tries, and the degree-preserving points the specialization
-# route evaluates.  Only the Kronecker image degree is settable, as
+# most Kronecker-image factors the lift recombines, the subsets each
+# _recombine search tries, and the degree-preserving points the
+# specialization route evaluates.  Only the Kronecker image degree is settable, as
 # Budgets.max_kron_degree.
 MAX_UV_DEGREE = 320
 MAX_KRON_ITEMS = 14
@@ -437,6 +419,32 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _recombine(n: int, accept, exceeded: ResourceBudgetExceeded):
+    """Yield accept's result for each subset of the items 0..n-1 it takes.
+
+    Subsets of the items still in the pool are tried by size, then in index
+    order, up to half the pool, and each one tried counts against
+    MAX_KRON_TRIALS; past it, `exceeded` is raised.  accept(combo) returns
+    None to reject a subset; an accepted one leaves the pool, and the search
+    goes on at the same size.
+    """
+    pool = list(range(n))
+    trials = 0
+    size = 1
+    while 2 * size <= len(pool):
+        for combo in itertools.combinations(pool, size):
+            trials += 1
+            if trials > MAX_KRON_TRIALS:
+                raise exceeded
+            found = accept(combo)
+            if found is not None:
+                yield found
+                pool = [i for i in pool if i not in combo]
+                break
+        else:
+            size += 1
+
+
 def _zassenhaus_squarefree(f: list) -> list:
     """Irreducible Z-factors of a primitive squarefree f with lc > 0."""
     n = _uv_deg(f)
@@ -456,37 +464,28 @@ def _zassenhaus_squarefree(f: list) -> list:
     target = _mignotte_modulus(F, p)
     lifted = _hensel_lift_tree(_uv_mod(F, target), modular, p, target)
     items = [_uv_sym(q, target) for q in lifted]
+
+    def divides(combo):
+        # a factor's constant term divides remaining[0] != 0 (Abbott et al.,
+        # ISSAC 2000); the candidate's is the symmetric residue of its
+        # items' constant terms, so test it before the product
+        const = 1
+        for idx in combo:
+            const = const * items[idx][0] % target
+        if const > target // 2:
+            const -= target
+        if const == 0 or remaining[0] % const:
+            return None
+        cand = _uv_sym(_uv_prod(items[idx] for idx in combo), target)
+        qr = _uv_divmod(remaining, cand)
+        return (cand, qr[0]) if qr and not qr[1] else None
+
     found_monic: list = []
     remaining = list(F)
-    pool = list(range(len(items)))
-    trials = 0
-    size = 1
-    while 2 * size <= len(pool):
-        hit = False
-        for combo in itertools.combinations(pool, size):
-            trials += 1
-            if trials > MAX_KRON_TRIALS:
-                raise ResourceBudgetExceeded("factor-trials", "recombination budget exceeded")
-            # a factor's constant term divides remaining[0] != 0 (Abbott et
-            # al., ISSAC 2000); the candidate's is the symmetric residue of
-            # its items' constant terms, so test it before the product
-            const = 1
-            for idx in combo:
-                const = const * items[idx][0] % target
-            if const > target // 2:
-                const -= target
-            if const == 0 or remaining[0] % const:
-                continue
-            cand = _uv_sym(_uv_prod(items[idx] for idx in combo), target)
-            quo = _uv_exact_div(remaining, cand)
-            if quo is not None:
-                found_monic.append(cand)
-                remaining = quo
-                pool = [i for i in pool if i not in combo]
-                hit = True
-                break
-        if not hit:
-            size += 1
+    exceeded = ResourceBudgetExceeded("factor-trials", "recombination budget exceeded")
+    for cand, quo in _recombine(len(items), divides, exceeded):
+        found_monic.append(cand)
+        remaining = quo
     if _uv_deg(remaining) >= 1:
         found_monic.append(remaining)
     # undo y = lc*x and restore primitivity
@@ -507,15 +506,13 @@ def _uv_factor_primitive(f: list) -> list[tuple[list, int]]:
         # Yun squarefree decomposition
         d = _uv_deriv(f)
         a = _uv_gcd(f, d)
-        b = _uv_exact_div(f, a)
-        c = _uv_exact_div(d, a)
+        b = _uv_divmod(f, a)[0]
+        c = _uv_divmod(d, a)[0]
         d = _uv_sub(c, _uv_deriv(b))
         i = 1
         while _uv_deg(b) > 0:
             a = _uv_gcd(b, d)
-            b2 = _uv_exact_div(b, a)
-            c = _uv_exact_div(d, a)
-            b = b2
+            b, c = _uv_divmod(b, a)[0], _uv_divmod(d, a)[0]
             d = _uv_sub(c, _uv_deriv(b))
             if _uv_deg(a) > 0:
                 for irr in _zassenhaus_squarefree(a):
@@ -865,7 +862,8 @@ def _image_irreducible(prim: list) -> bool:
 
 
 def _kronecker_split(p: LaurentPoly, max_degree: int):
-    """('split', (g, h)) | ('irreducible', None) | ('resource', tag)."""
+    """A split (g, h) with g * h == p, or None when p is irreducible; raises
+    ResourceBudgetExceeded when a budget runs out first."""
     used = p.used_vars()
     degs = {v: p.degree_in(v) for v in used}
     D = 2 * max(degs.values()) + 1
@@ -876,55 +874,41 @@ def _kronecker_split(p: LaurentPoly, max_degree: int):
         acc *= D
     total = sum(degs[v] * weight[v] for v in used)
     if total > max_degree:
-        return ("resource", f"kronecker image degree {total} exceeds budget")
+        raise ResourceBudgetExceeded("kronecker", f"kronecker image degree {total} exceeds budget")
     dense = [0] * (total + 1)
     for m, c in p.term_dict().items():
         dense[sum(m[v] * weight[v] for v in used)] += c
     dense = _uv_trim(dense)
-    try:
-        pairs = _uv_factor_primitive(_uv_primitive(dense))
-    except ResourceBudgetExceeded as exc:
-        return ("resource", str(exc))
+    pairs = _uv_factor_primitive(_uv_primitive(dense))
     items = []
     for g, mult in pairs:
         items.extend([g] * mult)
-    if len(items) == 1:
-        return ("irreducible", None)
     if len(items) > MAX_KRON_ITEMS:
-        return ("resource", f"{len(items)} kronecker factors exceed budget")
-    trials = 0
+        raise ResourceBudgetExceeded("kronecker", f"{len(items)} kronecker factors exceed budget")
     nv = p.ring.nvars
-    for size in range(1, len(items) // 2 + 1):
-        for combo in itertools.combinations(range(len(items)), size):
-            trials += 1
-            if trials > MAX_KRON_TRIALS:
-                return ("resource", "kronecker trial budget exceeded")
-            gd = _uv_prod(items[idx] for idx in combo)
-            terms = {}
-            ok = True
-            for e, c in enumerate(gd):
-                if not c:
-                    continue
-                mono = [0] * nv
-                rest = e
-                for v in reversed(used):
-                    mono[v], rest = divmod(rest, weight[v])
-                    if mono[v] > degs[v]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                key = tuple(mono)
-                terms[key] = terms.get(key, 0) + c
-            if not ok:
+
+    def lift(combo):
+        gd = _uv_prod(items[idx] for idx in combo)
+        terms = {}
+        for e, c in enumerate(gd):
+            if not c:
                 continue
-            cand = LaurentPoly(p.ring, terms)
-            if cand.is_constant() or cand.total_degree() == p.total_degree():
-                continue
-            quo = exact_divide(p, cand)
-            if quo is not None:
-                return ("split", (cand, quo))
-    return ("irreducible", None)
+            mono = [0] * nv
+            rest = e
+            for v in reversed(used):
+                mono[v], rest = divmod(rest, weight[v])
+                if mono[v] > degs[v]:
+                    return None
+            key = tuple(mono)
+            terms[key] = terms.get(key, 0) + c
+        cand = LaurentPoly(p.ring, terms)
+        if cand.is_constant() or cand.total_degree() == p.total_degree():
+            return None
+        quo = exact_divide(p, cand)
+        return None if quo is None else (cand, quo)
+
+    exceeded = ResourceBudgetExceeded("kronecker", "kronecker trial budget exceeded")
+    return next(_recombine(len(items), lift, exceeded), None)
 
 
 def is_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> Verdict:
@@ -993,10 +977,10 @@ def is_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> Verdict:
     if _specialization_proved(q):
         return verdict.proved("specialization")
 
-    status, payload = _kronecker_split(q, budgets.max_kron_degree)
-    if status == "split":
-        g, h = payload
-        return verdict.refuted({"factors": with_unit([g, h])})
-    if status == "irreducible":
+    try:
+        split = _kronecker_split(q, budgets.max_kron_degree)
+    except ResourceBudgetExceeded as exc:
+        return verdict.undecided("resource-kronecker", detail=str(exc))
+    if split is None:
         return verdict.proved("kronecker")
-    return verdict.undecided("resource-kronecker", detail=payload)
+    return verdict.refuted({"factors": with_unit(list(split))})

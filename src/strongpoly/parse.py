@@ -50,6 +50,14 @@ MAX_TERM_PAIRS = 10**6
 # denominator.  The test suite's largest is 296 bits, in (1 + x1)^300, the
 # benchmark's inputs need 4, and (3)^30000000 would need 47.5 * 10^6.
 MAX_COEFF_BITS = 10**5
+# Most variables a polynomial, a matrix or a sample may have, and most
+# strands a braid may have.  Every exponent tuple is this wide, and strong
+# coprimality's image catalog grows with its square: with CPython 3.11 on a
+# 2-core Xeon VM, check-vector-coprime "x100" "x1 + 2" takes 2.8 s and
+# braid-alex on 100 strands 0.3 s, but check-coprime "30*x1000" "x1 + 2"
+# takes 32 s and check-irred "x300000000 + 1" runs out of memory.  The tests
+# need 40.
+MAX_VARS = 100
 
 _TOKEN_RE = re.compile(r"\d+|x\d+|[+\-*/^()]|\S")
 
@@ -234,6 +242,8 @@ def parse_polynomial(text: str, nvars: int | None = None, laurent: bool = False)
         raise ParseError("empty input", tokens[0].line, tokens[0].col)
     mentioned = max((int(t.text[1:]) for t in tokens if t.kind == "VAR"), default=0)
     n = mentioned if nvars is None else max(mentioned, nvars)
+    if n > MAX_VARS:
+        raise ValueError(f"{n} variables are more than {MAX_VARS}")
     parser = _PolyParser(tokens, laurent, n)
     terms = parser.parse_expr()
     end = parser.peek()
@@ -303,8 +313,8 @@ def parse_matrix_json(data: dict):
         matrix = data["matrix"]
     except (KeyError, TypeError, ValueError):
         raise ValueError('matrix input needs integer "vars" and a "matrix" array') from None
-    if nvars < 1:
-        raise ValueError("vars must be >= 1")
+    if not 1 <= nvars <= MAX_VARS:
+        raise ValueError(f"vars must be from 1 to {MAX_VARS}")
     if not isinstance(matrix, list) or any(not isinstance(row, list) for row in matrix):
         raise ValueError('"matrix" must be an array of arrays')
     ring = Ring(nvars, laurent=True)

@@ -144,10 +144,9 @@ def check_strongly_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> 
     notes: dict = {}
 
     if m == 0:
-        c = q.constant_value()
-        inner = is_irreducible(LaurentPoly.constant(Ring(1), c), budgets)
+        inner = is_irreducible(q, budgets)
         if inner.is_proved:
-            return verdict.proved("constant-prime", constant=c)
+            return verdict.proved("constant-prime", constant=q.constant_value())
         t_full = (1,) * p.ring.nvars
         factors = _ambient_factors(inner.witness["factors"], (), p, t_full, unit_mono)
         return verdict.refuted({"exponents": t_full, "factors": factors})
@@ -201,13 +200,7 @@ def _ambient_factors(
     ring = p.ring
     out = []
     for f in factors:
-        if used:
-            g = _embed_vars(f, used, ring.nvars)
-        else:
-            g = LaurentPoly(
-                Ring(ring.nvars, False, ring.domain),
-                {(0,) * ring.nvars: f.constant_value()},
-            )
+        g = _embed_vars(f, used, ring.nvars)
         if ring.laurent:
             g = g.to_laurent()
         out.append(g)
@@ -327,7 +320,8 @@ def check_strongly_coprime(p: LaurentPoly, q: LaurentPoly, budgets: Budgets = Bu
     for first, second, label in ((p, q, "p"), (q, p, "q")):
         uf = set(first.used_vars())
         us = set(second.used_vars())
-        if len(us) < len(uf) and (uf - us):
+        # a Laurent unit has no irreducibility status to certify
+        if len(us) < len(uf) and (uf - us) and not first.to_laurent().is_unit():
             sub = check_strongly_irreducible(first, budgets)
             if sub.is_proved:
                 return verdict.proved(

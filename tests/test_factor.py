@@ -1,5 +1,6 @@
 """Integer factorization of (Laurent) polynomials and gcd/coprimality."""
 
+import math
 import random
 import time
 from functools import reduce
@@ -7,22 +8,43 @@ from functools import reduce
 import pytest
 import sympy
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from strongpoly import (
     LaurentPoly,
     PROVED,
     REFUTED,
+    UNDECIDED,
+    Budgets,
     Ring,
     ResourceBudgetExceeded,
     ZZ,
     coprime,
     is_irreducible,
+    parse_polynomial,
     poly_gcd,
 )
 from strongpoly import factor
 from strongpoly.factor import univariate_factor
 
 from conftest import mk, nonzero_poly_st
+
+# dense univariate polynomials, ascending coefficients, trimmed; the nonzero
+# ones may have any content and leading coefficient
+dense_st = st.lists(st.integers(-20, 20), max_size=7).map(factor._uv_trim)
+dense_nonzero_st = st.tuples(
+    st.lists(st.integers(-20, 20), max_size=6), st.integers(-20, 20).filter(bool)
+).map(lambda t: t[0] + [t[1]])
+X = sympy.Symbol("x")
+
+
+def to_sympy(f, domain="ZZ"):
+    return sympy.Poly(list(reversed(f)) or [0], X, domain=domain)
+
+
+def from_sympy(poly):
+    return factor._uv_trim([c for c in reversed(poly.all_coeffs())])
+
 
 R1 = Ring(1, False, ZZ)
 R2 = Ring(2, False, ZZ)
@@ -117,7 +139,7 @@ class TestUnivariate:
         # Hensel lifting never divides by a non-unit; if it did, the CLI
         # must report an internal error (exit 5), not an input error
         with pytest.raises(RuntimeError):
-            factor._gf_divmod([1, 1], [1, 2], 4)
+            factor._uv_divmod([1, 1], [1, 2], 4)
 
     def test_units_and_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -153,6 +175,56 @@ class TestUnivariate:
         monkeypatch.setattr(factor, "MAX_UV_DEGREE", 5)
         with pytest.raises(Exception):
             is_irreducible(p)
+
+
+class TestDivision:
+    def test_over_z(self):
+        # x^2 - 1 = (x + 1)(x - 1), and x^2 + 1 leaves 2 behind
+        assert factor._uv_divmod([-1, 0, 1], [-1, 1]) == ([1, 1], [])
+        assert factor._uv_divmod([1, 0, 1], [-1, 1]) == ([1, 1], [2])
+        assert factor._uv_divmod([3], [-1, 1]) == ([], [3])
+        assert factor._uv_divmod([], [2, 3]) == ([], [])
+        # dividing x^2 + 1 by 2x + 1 needs the quotient coefficient 1/2
+        assert factor._uv_divmod([1, 0, 1], [1, 2]) is None
+
+    @given(dense_st, dense_nonzero_st)
+    @settings(max_examples=60, deadline=None)
+    def test_over_z_is_rational_division_when_integral(self, f, g):
+        quo, rem = sympy.div(to_sympy(f, "QQ"), to_sympy(g, "QQ"))
+        out = factor._uv_divmod(f, g)
+        if any(c.q != 1 for c in quo.all_coeffs()):
+            assert out is None
+        else:
+            assert out == (from_sympy(quo), from_sympy(rem))
+
+    def test_mod_a_prime_and_a_prime_power(self):
+        # x^3 + 2x + 1 by 2x + 1: mod 5,
+        # (3x^2 + x + 3)(2x + 1) + 3 = 6x^3 + 5x^2 + 7x + 6 = x^3 + 2x + 1
+        assert factor._uv_divmod([1, 2, 0, 1], [1, 2], 5) == ([3, 1, 3], [3])
+        # and mod 9, (5x^2 + 2x)(2x + 1) + 1 = 10x^3 + 9x^2 + 2x + 1
+        assert factor._uv_divmod([1, 2, 0, 1], [1, 2], 9) == ([0, 2, 5], [1])
+
+    @given(dense_st, dense_nonzero_st, st.sampled_from([3, 5, 7, 9, 25, 27, 3**10]))
+    @settings(max_examples=60, deadline=None)
+    def test_mod_m_is_the_unique_division(self, f, g, m):
+        assume(math.gcd(g[-1], m) == 1)
+        q, r = factor._uv_divmod(f, g, m)
+        assert q == factor._uv_trim(list(q)) and r == factor._uv_trim(list(r))
+        assert all(0 <= c < m for c in q + r) and len(r) < len(g)
+        back = factor._uv_add(factor._uv_mul(q, g), r)
+        assert factor._uv_mod(factor._uv_sub(f, back), m) == []
+
+    def test_non_unit_lead_mod_m_is_internal(self):
+        with pytest.raises(RuntimeError, match="leading coefficient 6 is not a unit mod 9"):
+            factor._uv_divmod([1, 1, 1], [1, 6], 9)
+
+    @given(dense_nonzero_st, dense_nonzero_st, dense_nonzero_st)
+    @settings(max_examples=80, deadline=None)
+    def test_uv_gcd_matches_sympy(self, a, b, h):
+        # h is a shared factor with its own content and sign, so the inputs
+        # are neither primitive nor monic
+        f, g = factor._uv_mul(a, h), factor._uv_mul(b, h)
+        assert factor._uv_gcd(f, g) == from_sympy(sympy.gcd(to_sympy(f), to_sympy(g)))
 
 
 class TestModes:
@@ -228,6 +300,27 @@ class TestMultivariate:
             oracle_irred = abs(coeff) == 1 and sum(m for _, m in factors) == 1
             assert (v.status == PROVED) == oracle_irred, p.to_text()
             checked += 1
+
+    def test_kronecker_budget_details(self, monkeypatch):
+        # the split of p is the eleventh subset of its Kronecker image's
+        # factors that the search tries, counting the ones it rejects
+        p = parse_polynomial("-x1^3 + 3*x1^2*x2 - x1*x2 + 3*x2^2")
+        monkeypatch.setattr(factor, "MAX_KRON_TRIALS", 10)
+        v = is_irreducible(p)
+        assert (v.status, v.reason) == (UNDECIDED, "resource-kronecker")
+        assert v.details == {"detail": "kronecker trial budget exceeded"}
+        monkeypatch.setattr(factor, "MAX_KRON_TRIALS", 11)
+        reassembles(p, is_irreducible(p))
+        # three linear-in-each-variable factors give three image factors
+        q = parse_polynomial("(x1 + x2 + 1)*(x1 - x2 + 2)*(x1*x2 + 3)")
+        monkeypatch.setattr(factor, "MAX_KRON_ITEMS", 2)
+        v = is_irreducible(q)
+        assert (v.status, v.reason) == (UNDECIDED, "resource-kronecker")
+        assert v.details == {"detail": "3 kronecker factors exceed budget"}
+        monkeypatch.setattr(factor, "MAX_KRON_ITEMS", 3)
+        reassembles(q, is_irreducible(q))
+        v = is_irreducible(q, Budgets(max_kron_degree=4))
+        assert v.details == {"detail": "kronecker image degree 24 exceeds budget"}
 
     @given(
         nonzero_poly_st(nvars=2, max_exp=2, max_terms=3, max_coeff=4),

@@ -1,9 +1,11 @@
 """Text grammar and the command-line surface."""
 
+import contextlib
 import io
 import json
 import math
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strongpoly import (
     LaurentPoly,
@@ -26,7 +29,7 @@ from strongpoly import (
     parse_polynomial,
 )
 from strongpoly import cli, factor
-from strongpoly.parse import parse_exponent_pairs
+from strongpoly.parse import MAX_VARS, parse_exponent_pairs
 
 from conftest import mk, nonzero_poly_st
 
@@ -51,6 +54,11 @@ class TestPolynomialGrammar:
         assert parse_polynomial("x1 + 1", nvars=4).ring.nvars == 4
         with pytest.raises(ValueError):
             parse_polynomial("x3", nvars=2)
+        assert parse_polynomial(f"x{MAX_VARS}").ring.nvars == MAX_VARS
+        with pytest.raises(ValueError, match="variables are more than"):
+            parse_polynomial(f"x{MAX_VARS + 1}")
+        with pytest.raises(ValueError, match="variables are more than"):
+            parse_polynomial("x1", nvars=MAX_VARS + 1)
 
     def test_rational_coefficients_switch_domain(self):
         p = parse_polynomial("1/2*x1 + 1")
@@ -142,6 +150,8 @@ class TestMatrixJson:
             parse_matrix_json([])
         with pytest.raises(ValueError):
             parse_matrix_json({"matrix": [["1"]]})
+        with pytest.raises(ValueError):
+            parse_matrix_json({"vars": MAX_VARS + 1, "matrix": [], "cols": 1})
 
 
 def run_cli(*args, stdin=None, timeout=None):
@@ -314,6 +324,12 @@ class TestExitCodes:
             # without --stdin these used to block on the terminal
             ["divisorial-hull"],
             ["elementary-ideal", "--k", "0"],
+            # counts past parse.MAX_VARS
+            ["check-irred", f"x{MAX_VARS + 1} + 1"],
+            ["check-strong-irred", "x1 + 1", "--vars", str(MAX_VARS + 1)],
+            ["genericity", "--vars", str(MAX_VARS + 1), "--degree", "1", "--trials", "1"],
+            ["braid-alex", "--braid", "s1", "--strands", str(MAX_VARS + 1)],
+            ["torsion-alex", "--braid", "s1", "--strands", str(MAX_VARS + 1)],
         ],
     )
     def test_usage_errors_are_three(self, argv, capsys):
@@ -336,7 +352,9 @@ class TestExitCodes:
         assert cli.main(["check-irred", split]) == 1
         capsys.readouterr()
         assert cli.main(["check-irred", split, "--max-degree", "4"]) == 2
-        assert "resource-kronecker" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "resource-kronecker" in out
+        assert "kronecker image degree 12 exceeds budget" in out
         sample = ["genericity", "--vars", "3", "--degree", "2", "--trials", "5"]
         assert cli.main(sample) == 0
         assert "passes: 5/5" in capsys.readouterr().out
@@ -357,6 +375,12 @@ class TestExitCodes:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
         assert cli.main(argv) == 3
         assert capsys.readouterr().err.startswith("input error: ")
+
+    def test_recombination_budget_is_four(self, capsys):
+        # x^200 + 4 splits into so many factors mod the Zassenhaus prime
+        # that the subset search runs out of trials
+        assert cli.main(["check-irred", "x1^200 + 4"]) == 4
+        assert capsys.readouterr().err == "resource budget exceeded: recombination budget exceeded\n"
 
     def test_long_braid_word_is_four(self):
         # the braid action's work is quadratic in the word length; this one
@@ -381,6 +405,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("internal error: ")
         assert "does not reduce to zero" in err
+
+
+class _RanTooLong(BaseException):
+    """Raised by the fuzz test's alarm: not an Exception, so cli.main's
+    catch-all cannot turn it into an exit code."""
+
+
+FUZZ_TOKENS = ["x1", "x2", "x3", "x0", "x3000", *"0123456789", "+", "-", "*", "^", "^-", "(", ")", "/"]
+FUZZ_SECONDS = 10
+
+
+class TestFuzz:
+    # the tokens are joined by spaces, so every number has one digit: an
+    # exponent of many digits still builds a dense list that long (ROADMAP
+    # item 4)
+    @given(
+        st.sampled_from(["check-irred", "check-strong-irred", "check-coprime", "slice-poly"]),
+        st.lists(
+            st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1, max_size=8).map(" ".join),
+            min_size=2,
+            max_size=2,
+        ),
+        st.booleans(),
+    )
+    # used to run for minutes: the coprimality catalog of 3000 variables
+    @example("check-coprime", ["x3000", "x1 + 2"], False)
+    @settings(max_examples=800, deadline=None)
+    def test_exit_codes_stay_in_the_taxonomy(self, command, texts, laurent):
+        argv = [command, *texts[: 2 if command == "check-coprime" else 1]]
+        argv += ["--laurent"] if laurent else []
+
+        def ran_too_long(signum, frame):
+            raise _RanTooLong
+
+        previous = signal.signal(signal.SIGALRM, ran_too_long)
+        signal.alarm(FUZZ_SECONDS)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+        except _RanTooLong:
+            pytest.fail(f"{argv} ran past {FUZZ_SECONDS} s")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1, 2, 3, 4), argv
 
 
 class TestReports:

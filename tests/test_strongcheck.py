@@ -186,6 +186,12 @@ class TestStronglyCoprime:
         if v.is_refuted:
             assert_common_divisor_divides_both(p, q, v)
 
+    def test_laurent_unit_side_is_not_certified(self):
+        # the fewer-variables route used to ask whether the unit x2 is
+        # strongly irreducible, and raised
+        v = check_strongly_coprime(mk(2, {(0, 0): 1}), mk(2, {(0, 1): 1}))
+        assert v.status == UNDECIDED
+
     def test_out_of_reach_pair_is_undecided(self):
         p = mk(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         q = mk(2, {(0, 0): 2, (1, 0): 1, (0, 1): -1})
