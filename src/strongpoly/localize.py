@@ -10,13 +10,17 @@ product of the primes before it is trusted.
 
 Generators are kept as exponent vectors; polynomials are expanded only
 where the combination identity is checked: once when a reduction is built,
-and once when verify_principality audits it.
+and once when verify_principality audits it.  Each of those calls keeps its
+own table of prime powers, so every p_i^e and every product of powers is
+made once per call and none outlives it.  The table charges each product's
+term products against MAX_IDENTITY_TERM_PRODUCTS and raises
+ResourceBudgetExceeded past it (CLI exit 4).
 """
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
-from .errors import Budgets
+from .errors import Budgets, ResourceBudgetExceeded
 from .factor import coprime, is_irreducible
 from .ring import LaurentPoly, Ring, ZZ, monomial_substitute
 from .strongcheck import check_strongly_coprime
@@ -25,6 +29,17 @@ from .verdict import PROVED, Verdict, proved, refuted, undecided
 # Deterministic catalog of monomial units tried when a crossing witness
 # shares a factor with some prime: 1 first, then powers of each variable.
 MAX_UNIT_SHIFT = 8
+
+# Term products (one coefficient multiplication each) that the prime powers,
+# witness products and combination identity of one reduction, or of one
+# audit, may spend: 24 times the most one call spends in the test suite
+# (41512, acceptance 8) and 55 times the most in the benchmark's first 3400
+# instances of seeds 1 and 2 (18102).  The generators (80, 0), (0, 80) in two
+# variables spend 683838; (90, 0), (0, 90) pass the cap within a second.
+# It bounds these products only, not the call: the coprimality checks of the
+# witnesses are not charged, and their exact divisions take seconds on the
+# (80, 0), (0, 80) input.
+MAX_IDENTITY_TERM_PRODUCTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -152,26 +167,72 @@ def _certify(primes, generators):
     return primes, gens, certificates
 
 
-def _power_product(primes, exps) -> LaurentPoly:
-    out = LaurentPoly.one(primes[0].ring)
-    for base, e in zip(primes, exps):
-        if e:
-            out = out * base**e
-    return out
+class _PowerTable:
+    """Products of powers of fixed primes, for the length of one call.
+
+    Only the powers p_i^e that the call asks for are kept, and each is made
+    once: from the largest kept p_i^k with k <= e, times p_i^(e-k) by
+    square-and-multiply.  Each exponent vector's product is made once too.
+    Every product made through mul is charged its term products against
+    MAX_IDENTITY_TERM_PRODUCTS before it is made.
+    """
+
+    def __init__(self, primes):
+        self.primes = primes
+        self.powers = [{0: LaurentPoly.one(p.ring), 1: p} for p in primes]
+        self.products = {}
+        self.spent = 0
+
+    def mul(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+        self.spent += f.num_terms() * g.num_terms()
+        if self.spent > MAX_IDENTITY_TERM_PRODUCTS:
+            raise ResourceBudgetExceeded(
+                "localize",
+                f"the combination identity needs more than {MAX_IDENTITY_TERM_PRODUCTS} term products",
+            )
+        return f * g
+
+    def power(self, i: int, e: int) -> LaurentPoly:
+        powers = self.powers[i]
+        out = powers.get(e)
+        if out is None:
+            k = max(j for j in powers if j <= e)
+            out, base, d = powers[k], self.primes[i], e - k
+            while True:
+                if d & 1:
+                    out = self.mul(out, base)
+                d >>= 1
+                if not d:
+                    break
+                base = self.mul(base, base)
+            powers[e] = out
+        return out
+
+    def product(self, exps) -> LaurentPoly:
+        """prod(primes[i]^exps[i])."""
+        exps = tuple(exps)
+        out = self.products.get(exps)
+        if out is None:
+            factors = [self.power(i, e) for i, e in enumerate(exps) if e]
+            out = factors[0] if factors else self.power(0, 0)
+            for f in factors[1:]:
+                out = self.mul(out, f)
+            self.products[exps] = out
+        return out
 
 
-def _combination_holds(primes, gens, result: ReductionResult) -> bool:
+def _combination_holds(table: _PowerTable, gens, result: ReductionResult) -> bool:
     """Whether prod(primes)^generator * prod(witnesses) == sum c_i * gens_i,
     with one combination coefficient per input."""
     if len(result.combination) != len(gens):
         return False
-    lhs = _power_product(primes, result.generator)
+    lhs = table.product(result.generator)
     for w in result.witnesses:
-        lhs = lhs * w
-    rhs = LaurentPoly.zero(primes[0].ring)
+        lhs = table.mul(lhs, w)
+    rhs = LaurentPoly.zero(lhs.ring)
     for c, g in zip(result.combination, gens):
         if not c.is_zero():
-            rhs = rhs + c * _power_product(primes, g)
+            rhs = rhs + table.mul(c, table.product(g))
     return lhs == rhs
 
 
@@ -196,7 +257,8 @@ def _reduce_vectors(primes, gens) -> ReductionResult:
     if not gens:
         raise ValueError("cannot reduce an empty generator list")
     ring = primes[0].ring
-    prime_product = _power_product(primes, (1,) * len(primes))
+    table = _PowerTable(primes)
+    prime_product = table.product((1,) * len(primes))
     one = LaurentPoly.one(ring)
     zero = LaurentPoly.zero(ring)
 
@@ -217,10 +279,10 @@ def _reduce_vectors(primes, gens) -> ReductionResult:
             steps.append(("dominates", m, None))
             continue
         mins = tuple(min(a, b) for a, b in zip(current, nxt))
-        a_part = _power_product(primes, tuple(a - b for a, b in zip(current, mins)))
-        b_part = _power_product(primes, tuple(a - b for a, b in zip(nxt, mins)))
+        a_part = table.product(a - b for a, b in zip(current, mins))
+        b_part = table.product(a - b for a, b in zip(nxt, mins))
         for unit in _unit_catalog(ring):
-            witness = a_part + unit * b_part
+            witness = a_part + table.mul(unit, b_part)
             if not witness.is_zero() and coprime(witness, prime_product):
                 break
         else:
@@ -229,14 +291,14 @@ def _reduce_vectors(primes, gens) -> ReductionResult:
         # the old witness product W turns prod^current * W into the running
         # combination, so the old coefficients carry over and the new input
         # enters with coefficient u * W.
-        coeffs[m] = unit * w_product
-        w_product = w_product * witness
+        coeffs[m] = table.mul(unit, w_product)
+        w_product = table.mul(w_product, witness)
         witnesses.append(witness)
         steps.append(("crossing", m, witness))
         current = mins
 
     result = ReductionResult(current, tuple(witnesses), tuple(steps), tuple(coeffs))
-    if not _combination_holds(primes, gens, result):
+    if not _combination_holds(table, gens, result):
         raise RuntimeError("reduction lost the combination identity")
     return result
 
@@ -272,7 +334,8 @@ def verify_principality(ideal: LocalizedIdeal, gen) -> bool:
     s, t = result.generator
     if any(a < s or b < t for a, b in ideal.generators):
         return False
-    if not _combination_holds(primes, ideal.generators, result):
+    table = _PowerTable(primes)
+    if not _combination_holds(table, ideal.generators, result):
         return False
-    prime_product = ideal.p * ideal.q
+    prime_product = table.product((1, 1))
     return all(coprime(w, prime_product) for w in result.witnesses)

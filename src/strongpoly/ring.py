@@ -93,15 +93,12 @@ def grlex_key(m: Monomial):
 def _mul_terms(f: dict, g: dict) -> dict:
     """Product of two term dicts."""
     out: dict = {}
+    get = out.get
     for m1, c1 in f.items():
         for m2, c2 in g.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            s = out.get(m, 0) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def _add_shifted(acc: dict, terms: dict, c, shift: Monomial) -> None:
@@ -160,9 +157,10 @@ def _primitive_terms(d: dict) -> dict:
 class LaurentPoly:
     """Immutable sparse polynomial keyed by exponent tuples.
 
-    The term dict is canonicalized on construction: zero coefficients are
-    dropped, lengths checked against the ring, negative exponents rejected
-    unless the ring is Laurent.
+    __init__ canonicalizes the term dict: zero coefficients are dropped,
+    lengths checked against the ring, negative exponents rejected unless the
+    ring is Laurent.  The ring's own sums, negations and products are
+    canonical already and skip those checks through _trusted.
     """
 
     __slots__ = ("ring", "_terms", "_key")
@@ -185,6 +183,17 @@ class LaurentPoly:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_key", None)
+
+    @classmethod
+    def _trusted(cls, ring: Ring, terms: dict) -> "LaurentPoly":
+        """A polynomial from a term dict that is already canonical for ring,
+        without the checks of __init__: only for kernel results built from
+        operands of that ring, never for outside data."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_key", None)
+        return self
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("LaurentPoly is immutable")
@@ -319,17 +328,17 @@ class LaurentPoly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return LaurentPoly(self.ring, out)
+        return LaurentPoly._trusted(self.ring, out)
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.ring, {m: -c for m, c in self._terms.items()})
+        return LaurentPoly._trusted(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
         self._check_ring(other)
-        return LaurentPoly(self.ring, _mul_terms(self._terms, other._terms))
+        return LaurentPoly._trusted(self.ring, _mul_terms(self._terms, other._terms))
 
     def __pow__(self, e: int) -> "LaurentPoly":
         if not isinstance(e, int):

@@ -18,12 +18,12 @@ from strongpoly import (
     coprime,
     divisor_set_member,
     is_irreducible,
+    parse_polynomial,
     reduce_localized_ideal,
     reduce_multi_prime,
     verify_principality,
 )
-from strongpoly import localize
-from strongpoly.localize import _power_product
+from strongpoly import localize, ring
 
 from conftest import mk
 
@@ -37,13 +37,20 @@ def ideal(gens):
     return LocalizedIdeal(P, Q, tuple(gens))
 
 
+def power_product(primes, exps):
+    out = LaurentPoly.one(primes[0].ring)
+    for base, e in zip(primes, exps):
+        out = out * base**e
+    return out
+
+
 def check_combination(primes, gens, result):
-    lhs = _power_product(primes, result.generator)
+    lhs = power_product(primes, result.generator)
     for w in result.witnesses:
         lhs = lhs * w
     rhs = LaurentPoly.zero(primes[0].ring)
     for c, g in zip(result.combination, gens):
-        rhs = rhs + c * _power_product(primes, g)
+        rhs = rhs + c * power_product(primes, g)
     assert lhs == rhs
 
 
@@ -183,6 +190,40 @@ class TestVerify:
         monkeypatch.setattr(localize, "_reduce_vectors", forbidden)
         monkeypatch.setattr(LaurentPoly, "exact_divide", forbidden)
         assert verify_principality(I, result)
+
+    def test_each_prime_power_is_made_once_per_call(self, monkeypatch):
+        # seed-1 localize benchmark instance 6; recomputing every power by
+        # square-and-multiply spent 4068 term products here
+        p = parse_polynomial("-2*x1 + 4*x2 - 2*x3 + 1", nvars=3)
+        q = parse_polynomial("-x1 + 2*x2 - x3 + 1", nvars=3)
+        I = LocalizedIdeal(p, q, ((4, 3), (5, 5)))
+        spent = [0]
+        kernel = ring._mul_terms
+
+        def counting(f, g):
+            spent[0] += len(f) * len(g)
+            return kernel(f, g)
+
+        monkeypatch.setattr(ring, "_mul_terms", counting)
+        assert verify_principality(I, reduce_localized_ideal(I))
+        assert spent[0] <= 2600
+
+    def test_a_huge_power_is_made_by_squaring(self, monkeypatch):
+        two = parse_polynomial("2", nvars=1)
+        three = parse_polynomial("3", nvars=1)
+        I = LocalizedIdeal(two, three, ((10**4, 0), (0, 1)))
+        calls = [0]
+        kernel = ring._mul_terms
+
+        def counting(f, g):
+            calls[0] += 1
+            return kernel(f, g)
+
+        monkeypatch.setattr(ring, "_mul_terms", counting)
+        result = reduce_localized_ideal(I)
+        assert result.generator == (0, 0)
+        assert verify_principality(I, result)
+        assert calls[0] <= 200
 
 
 class TestMultiPrime:

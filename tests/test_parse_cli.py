@@ -391,6 +391,24 @@ class TestExitCodes:
         assert "braid action rewrote more than" in proc.stderr
         assert time.perf_counter() - start < 10
 
+    def test_huge_ideal_exponents_are_four(self):
+        # p^200 and q^200 used to be expanded without a budget, past 30 s
+        start = time.perf_counter()
+        proc = run_cli("reduce-ideal", "--p", "1 + x1 - x2", "--q", "1 + x1*x2",
+                       "--gens", "200,0;0,200", timeout=30)
+        assert proc.returncode == 4
+        assert "the combination identity needs more than" in proc.stderr
+        assert time.perf_counter() - start < 10
+
+    def test_constant_primes_with_a_huge_exponent_end_quickly(self):
+        # one term per power, so the term budget cannot stop a power built
+        # one factor at a time: 2^100000 must come by squaring
+        start = time.perf_counter()
+        proc = run_cli("reduce-ideal", "--p", "2", "--q", "3",
+                       "--gens", "100000,0;0,1", timeout=30)
+        assert proc.returncode in (0, 1, 2, 3, 4)
+        assert time.perf_counter() - start < 10
+
     def test_deep_nesting_is_three(self, capsys):
         text = "(" * 3000 + "x1" + ")" * 3000
         assert cli.main(["check-irred", text]) == 3

@@ -1,9 +1,11 @@
 """Exact Laurent polynomial arithmetic and normal forms."""
 
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongpoly import (
     HomogPoly,
@@ -20,11 +22,43 @@ from strongpoly import (
     monomial_substitute,
     power_substitute,
 )
+from strongpoly.ring import _mul_terms
 
 from conftest import mk, nonzero_poly_st, poly_st
 
 R2 = Ring(2, False, ZZ)
 L2 = Ring(2, True, ZZ)
+
+
+@st.composite
+def term_dict_pairs(draw):
+    """Two term dicts in 1-4 variables with exponents in [-3, 6], either
+    drawn independently or as (a + b, a - b) on disjoint supports, whose
+    product a^2 - b^2 cancels every cross term."""
+    n = draw(st.integers(1, 4))
+    mono = st.tuples(*[st.integers(-3, 6)] * n)
+    terms = st.dictionaries(mono, st.integers(-5, 5).filter(bool), max_size=6)
+    a, b = draw(terms), draw(terms)
+    if draw(st.booleans()):
+        return a, b
+    b = {m: c for m, c in b.items() if m not in a}
+    return {**a, **b}, {**a, **{m: -c for m, c in b.items()}}
+
+
+def naive_product(f, g):
+    """Reference product: every term pair, grouped by monomial after sorting."""
+    pairs = sorted((tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+                   for m1, c1 in f.items() for m2, c2 in g.items())
+    out = {}
+    for m, group in groupby(pairs, key=lambda t: t[0]):
+        c = sum(c for _, c in group)
+        if c:
+            out[m] = c
+    return out
+
+
+def typed_terms(p):
+    return [(m, c, type(c)) for m, c in p.terms()]
 
 
 class TestConstruction:
@@ -108,6 +142,29 @@ class TestArithmetic:
         assert -p == p.scale(-1)
         assert p.scale(0).is_zero()
         assert p + (-p) == LaurentPoly.zero(p.ring)
+
+    @given(term_dict_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_term_kernel_matches_the_naive_product(self, pair):
+        f, g = pair
+        out = _mul_terms(f, g)
+        assert out == naive_product(f, g)
+        assert all(out.values())
+        assert _mul_terms(f, {}) == _mul_terms({}, g) == {}
+
+    @given(st.sampled_from([ZZ, QQ]), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_results_match_their_checked_construction(self, domain, laurent, data):
+        # +, unary - and * build their results without the checks of
+        # __init__; running those checks on the result changes nothing
+        p, q = (data.draw(poly_st(laurent=laurent)).to_domain(domain) for _ in range(2))
+        if domain == QQ:
+            q = q.scale(Fraction(2, 3))
+        for r in (p + q, -p, p * q):
+            checked = LaurentPoly(r.ring, r.term_dict())
+            assert checked == r
+            assert checked.term_dict() == r.term_dict()
+            assert typed_terms(checked) == typed_terms(r)
 
     def test_pow(self):
         p = mk(2, {(1, 0): 1, (0, 0): 1})

@@ -40,6 +40,23 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_unchecked_constructor_stays_in_ring():
+    # LaurentPoly._trusted skips the checks of __init__, so only the ring's
+    # own arithmetic may build with it; every other module, which may hold
+    # outside data, goes through __init__
+    found = []
+    for path in sorted(Path(strongpoly.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if "_trusted" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None))}
+        if path.name == "ring.py":
+            assert names
+        else:
+            found += sorted(names)
+    assert found == []
+
+
 def _defined_names(stmt):
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [stmt.name]
