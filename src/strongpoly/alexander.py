@@ -489,8 +489,9 @@ def blanchfield_self_link_witness(p: LaurentPoly, f: LaurentPoly) -> Blanchfield
     On the cyclic torsion module the pairing of f with itself is
     (f * bar(p) + bar(f) * p) / (p * bar(p)) up to the ring, so the class
     is nonzero iff p does not divide the numerator.  Requires p certified
-    irreducible and coprime to bar(p); rejects f divisible by p, whose
-    class pairs to zero trivially.
+    irreducible and coprime to bar(p): bar is a ring automorphism, so bar(p)
+    is irreducible too and coprime to p unless p divides it.  Rejects f
+    divisible by p, whose class pairs to zero trivially.
     """
     if p.is_zero():
         raise ValueError("p must be nonzero")
@@ -504,7 +505,7 @@ def blanchfield_self_link_witness(p: LaurentPoly, f: LaurentPoly) -> Blanchfield
     if verdict.status != PROVED:
         raise ValueError(f"p is not certified irreducible ({verdict.status})")
     pbar = pl.bar()
-    if not coprime(pl, pbar):
+    if divides(pl, pbar):
         raise ValueError("p and bar(p) must be coprime")
     if divides(pl, fl):
         raise ValueError("p divides f, so the class of f pairs to zero")

@@ -704,14 +704,15 @@ def _coeff_in(d: dict, v: int, e: int) -> dict:
 
 
 def _split_content(d: dict, v: int, budget: list) -> tuple[dict, dict]:
-    """(content, primitive part) of d viewed univariately in v."""
+    """(content, primitive part) of d viewed univariately in v; the
+    primitive part is d itself when the content is one."""
     cont: dict = {}
     for e in range(_deg_in(d, v) + 1):
         ce = _coeff_in(d, v, e)
         if ce:
             cont = _dict_gcd(cont, ce, budget) if cont else _primitive_terms(ce)
             if _is_dict_one(cont):
-                break
+                return cont, d
     pp = _div_terms(d, cont)
     if pp is None:
         raise RuntimeError("content does not divide its polynomial")
@@ -758,12 +759,12 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     Over a Laurent ring, monomials are units, so they are stripped first
     and the result carries no monomial factor.  Over an ordinary ring the
     gcd keeps monomial factors.  Integer content is dropped either way:
-    the result is primitive, a gcd up to integer factors, which coprime()
-    and divisorial_hull rely on.  Callers that need the shared integer
+    the result is primitive, a gcd up to integer factors, which
+    divisorial_hull relies on.  Callers that need the shared integer
     content multiply the result's primitive part by the gcd of the two
-    contents.  The one exception is two constants (after the monomials are
-    stripped, over a Laurent ring): their gcd is their nonnegative integer
-    gcd, so poly_gcd(4, 6) is 2 and coprime(4, 6) is False.
+    contents, or check that gcd, as coprime() does.  The one exception is
+    two constants (after the monomials are stripped, over a Laurent ring):
+    their gcd is their nonnegative integer gcd, so poly_gcd(4, 6) is 2.
     """
     if p.ring != q.ring:
         raise ValueError("ring mismatch")
@@ -782,8 +783,9 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
 
 def coprime(p: LaurentPoly, q: LaurentPoly) -> bool:
-    """True iff gcd(p, q) is a unit of the ambient ring."""
-    return poly_gcd(p, q).is_unit()
+    """True iff gcd(p, q) is a unit of the ambient ring: poly_gcd is taken
+    up to integer factors, so the two contents must be coprime too."""
+    return poly_gcd(p, q).is_unit() and math.gcd(p.content(), q.content()) == 1
 
 
 # -- multivariate irreducibility ------------------------------------------
@@ -968,11 +970,10 @@ def is_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> Verdict:
         return verdict.proved("degree-1")
 
     main = min(used, key=lambda v: (q.degree_in(v), v))
-    cont_v, _ = _split_content(q.term_dict(), main, [MAX_GCD_TERM_PRODUCTS])
+    cont_v, pp = _split_content(q.term_dict(), main, [MAX_GCD_TERM_PRODUCTS])
     cont_v = LaurentPoly(q.ring, cont_v)
     if not cont_v.is_unit():
-        quo = exact_divide(q, cont_v)
-        return verdict.refuted({"factors": with_unit([cont_v, quo])})
+        return verdict.refuted({"factors": with_unit([cont_v, LaurentPoly(q.ring, pp)])})
 
     if _specialization_proved(q):
         return verdict.proved("specialization")

@@ -12,10 +12,13 @@ produce byte-identical text via to_text().
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable, Iterator
+
+from .errors import ResourceBudgetExceeded
 
 ZZ = "ZZ"
 QQ = "QQ"
@@ -480,7 +483,15 @@ class LaurentPoly:
                 name = _var_name(var_prefix, i, self.ring.nvars)
                 factors.append(name if e == 1 else f"{name}^{e}")
             if not factors or mag != 1:
-                factors.insert(0, str(mag))
+                try:
+                    factors.insert(0, str(mag))
+                except ValueError:
+                    # a valid result too large to print; the interpreter's
+                    # digit limit stays, as it also guards parsing
+                    raise ResourceBudgetExceeded(
+                        "render",
+                        f"a coefficient passes the {sys.get_int_max_str_digits()}-digit limit for printing",
+                    ) from None
             body = "*".join(factors)
             if idx == 0:
                 parts.append(f"-{body}" if neg else body)

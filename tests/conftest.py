@@ -1,8 +1,10 @@
 """Shared builders and hypothesis strategies for the test suite."""
 
+import random
+
 from hypothesis import strategies as st
 
-from strongpoly import LaurentPoly, Ring, ZZ
+from strongpoly import LaurentPoly, Ring, ZZ, build_family_poly, coprime, family_corpus
 
 
 def mk(nvars, terms, laurent=False, domain=ZZ):
@@ -23,3 +25,26 @@ def poly_st(nvars=2, laurent=False, max_exp=3, max_terms=5, max_coeff=9, min_ter
 
 def nonzero_poly_st(nvars=2, laurent=False, max_exp=3, max_terms=5, max_coeff=9):
     return poly_st(nvars, laurent, max_exp, max_terms, max_coeff, min_terms=1)
+
+
+def localized_instances():
+    """The 100 (p, q, generators) instances of acceptance 8: two coprime
+    family-corpus members in the same ring and two to four exponent pairs,
+    drawn from random.Random(2024)."""
+    rng = random.Random(2024)
+    by_nvars = {}
+    for spec in family_corpus(2):
+        p = build_family_poly(spec)
+        by_nvars.setdefault(p.ring.nvars, []).append(p)
+    instances = []
+    while len(instances) < 100:
+        group = by_nvars[rng.choice(sorted(by_nvars))]
+        p, q = rng.sample(group, 2)
+        if not coprime(p, q):
+            continue
+        gens = [
+            (rng.randint(0, 5), rng.randint(0, 5))
+            for _ in range(rng.randint(2, 4))
+        ]
+        instances.append((p, q, gens))
+    return instances

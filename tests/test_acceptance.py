@@ -8,7 +8,6 @@ not machine noise.
 
 import json
 import os
-import random
 import subprocess
 import sys
 import time
@@ -41,7 +40,7 @@ from strongpoly import (
     verify_ribbon_presentation,
 )
 
-from conftest import mk
+from conftest import localized_instances, mk
 
 CORPUS = [build_family_poly(spec) for spec in family_corpus(2)]
 
@@ -226,22 +225,8 @@ def test_acceptance_07_blanchfield_witnesses(capsys):
 
 def test_acceptance_08_localized_reduction(capsys):
     start = time.monotonic()
-    rng = random.Random(2024)
-    by_nvars = {}
-    for p in CORPUS:
-        by_nvars.setdefault(p.ring.nvars, []).append(p)
     failures = []
-    instances = []
-    while len(instances) < 100:
-        group = by_nvars[rng.choice(sorted(by_nvars))]
-        p, q = rng.sample(group, 2)
-        if not coprime(p, q):
-            continue
-        gens = [
-            (rng.randint(0, 5), rng.randint(0, 5))
-            for _ in range(rng.randint(2, 4))
-        ]
-        instances.append((p, q, gens))
+    instances = localized_instances()
     for p, q, gens in instances:
         ideal = LocalizedIdeal(p, q, tuple(gens))
         result = reduce_localized_ideal(ideal)

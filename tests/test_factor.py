@@ -360,6 +360,8 @@ class TestGcd:
         q = mk(1, {(1,): 1, (0,): -1})
         assert coprime(p, q)
         assert not coprime(p * q, q)
+        # gcd(2*x1 + 2, 2) is 2: the shared integer content is not a unit
+        assert not coprime(mk(1, {(1,): 2, (0,): 2}), mk(1, {(0,): 2}))
 
     def test_two_constants_give_their_integer_gcd(self):
         assert poly_gcd(mk(2, {(0, 0): 4}), mk(2, {(0, 0): -6})).to_text() == "2"

@@ -2,8 +2,11 @@
 
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongpoly import (
     DivisorSetQuery,
@@ -15,17 +18,21 @@ from strongpoly import (
     UNDECIDED,
     Ring,
     ZZ,
+    blanchfield_self_link_witness,
+    build_family_poly,
     coprime,
+    divides,
     divisor_set_member,
+    family_corpus,
     is_irreducible,
     parse_polynomial,
     reduce_localized_ideal,
     reduce_multi_prime,
     verify_principality,
 )
-from strongpoly import localize, ring
+from strongpoly import alexander, factor, localize, ring
 
-from conftest import mk
+from conftest import localized_instances, mk, poly_st
 
 L2 = Ring(2, True, ZZ)
 P = mk(2, {(0, 0): 1, (1, 0): 1, (0, 1): -1}, laurent=True)  # 1 + x1 - x2
@@ -180,6 +187,16 @@ class TestVerify:
         assert not verify_principality(I, dataclasses.replace(result, combination=altered))
         assert not verify_principality(I, dataclasses.replace(result, combination=altered[:1]))
 
+    def test_rejects_a_witness_with_a_prime_content_factor(self):
+        # the identity 1 * (2*x1 + 2) == (x1 + 1) * 2 holds and (0, 0) divides
+        # the input, but the prime 2 divides the witness
+        two, three = (mk(1, {(0,): c}, laurent=True) for c in (2, 3))
+        witness = mk(1, {(1,): 2, (0,): 2}, laurent=True)
+        combination = mk(1, {(1,): 1, (0,): 1}, laurent=True)
+        I = LocalizedIdeal(two, three, ((1, 0),))
+        forged = ReductionResult((0, 0), (witness,), (), (combination,))
+        assert not verify_principality(I, forged)
+
     def test_result_is_audited_without_replay_or_division(self, monkeypatch):
         I = ideal([(1, 3), (2, 1), (0, 4)])
         result = reduce_localized_ideal(I)
@@ -238,6 +255,14 @@ class TestMultiPrime:
         for w in result.witnesses:
             assert coprime(w, prod)
 
+    def test_no_prime_divides_a_witness(self):
+        # u = 1 gives (x1 + 1) + (x1 + 3) = 2 * (x1 + 2), which the prime 2
+        # divides; gcd-based coprimality took it, as it drops integer content
+        primes = tuple(parse_polynomial(t, nvars=1, laurent=True) for t in ("2", "x1 + 1", "x1 + 3"))
+        result = reduce_multi_prime(primes, [(0, 1, 0), (0, 0, 1)])
+        assert result.generator == (0, 0, 0)
+        assert [w.to_text() for w in result.witnesses] == ["x1^2 + 4*x1 + 1"]
+
     def test_randomized_instances(self):
         rng = random.Random(4)
         for _ in range(8):
@@ -262,6 +287,41 @@ class TestMultiPrime:
             reduce_multi_prime(self.PRIMES, [(1, 1)])
         with pytest.raises(ValueError):
             reduce_multi_prime(self.PRIMES, [(1, 1, -1)])
+
+
+class TestNoGcd:
+    """The primes are certified irreducible, so coprimality with them is
+    decided by dividing by each; no gcd is computed."""
+
+    def test_acceptance_inputs_run_without_a_gcd(self, monkeypatch):
+        instances = localized_instances()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("poly_gcd called")
+
+        monkeypatch.setattr(factor, "poly_gcd", forbidden)
+        monkeypatch.setattr(alexander, "poly_gcd", forbidden)
+        assert not hasattr(localize, "poly_gcd") and not hasattr(localize, "coprime")
+        for p, q, gens in instances:
+            I = LocalizedIdeal(p, q, tuple(gens))
+            result = reduce_localized_ideal(I)
+            assert verify_principality(I, result)
+            assert reduce_multi_prime((p, q), gens) == result
+            assert not blanchfield_self_link_witness(p, q).is_zero
+
+    PAIRS = [
+        (p, q)
+        for p, q in combinations([build_family_poly(s) for s in family_corpus(2)], 2)
+        if p.ring == q.ring and p.ring.nvars <= 3
+    ]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_coprime_to_two_primes_is_divisible_by_neither(self, data):
+        p, q = data.draw(st.sampled_from(self.PAIRS))
+        r = data.draw(poly_st(p.ring.nvars, laurent=True, max_exp=2, max_terms=4, max_coeff=6))
+        w = r * data.draw(st.sampled_from((LaurentPoly.one(p.ring), p, q)))
+        assert coprime(w, p * q) == (not (divides(p, w) or divides(q, w)))
 
 
 class TestDivisorSet:

@@ -249,6 +249,18 @@ class TestExitCodes:
         assert proc.returncode in (0, 1, 2, 3, 4)
         assert "passes: 0/1" in proc.stdout
 
+    def test_ribbon_gate_counts_integer_content(self):
+        # p and bar(p) share the factor 2, so the coprime gate stops the run
+        proc = run_cli("verify-ribbon", "2*x1 + 4", "--vars", "1")
+        assert proc.returncode == 3
+        assert "not coprime" in proc.stderr
+
+    def test_result_too_large_to_print_is_four(self):
+        # the witness 2^100000 + 3 has more digits than Python prints
+        proc = run_cli("reduce-ideal", "--p", "2", "--q", "3", "--gens", "100000,0;0,1", timeout=10)
+        assert proc.returncode == 4
+        assert "resource budget" in proc.stderr
+
     @pytest.mark.parametrize("command", ["slice-poly", "verify-ribbon"])
     def test_family_without_k_is_three(self, command):
         proc = run_cli(command, "--family", "F1")
