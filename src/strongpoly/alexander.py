@@ -14,10 +14,10 @@ nonzero self-pairing classes against a denominator p * bar(p).
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .errors import ResourceBudgetExceeded
-from .factor import coprime, is_irreducible, poly_gcd
+from .factor import is_irreducible, poly_gcd
 from .groebner import IdealBasis
 from .ring import (
     LaurentPoly,
@@ -398,7 +398,9 @@ def verify_ribbon_presentation(p: LaurentPoly) -> RibbonReport:
         raise ValueError("the slice polynomial must have integer coefficients")
     pl = p.to_laurent()
     pbar = pl.bar()
-    if not coprime(pl, pbar):
+    # poly_gcd drops integer content, so the contents are gated separately
+    g = poly_gcd(pl, pbar)
+    if not g.is_unit() or gcd(pl.content(), pbar.content()) != 1:
         raise ValueError("p and bar(p) are not coprime; the cyclic certificate needs them coprime")
     ring = pl.ring
     n = ring.nvars
@@ -439,7 +441,6 @@ def verify_ribbon_presentation(p: LaurentPoly) -> RibbonReport:
     # Both annihilators kill the extension, and coprimality makes their
     # intersection principal on the product: lcm(p, bar p) = p * bar p.
     product = pl * pbar
-    g = poly_gcd(pl, pbar)
     lcm = exact_divide(product, g)
     steps.append(
         (

@@ -10,6 +10,20 @@ budget, the basis cap MAX_BASIS and the reduction-work cap
 MAX_REDUCTION_WORK, and raises ResourceBudgetExceeded instead of running
 away.
 
+Inside a run each monomial of n variables is one int word (_Words): its
+total degree in the top field, then its exponents e_0, ..., e_{n-1}, each
+field FIELD_BITS = 32 bits wide (Bachmann and Schoenemann, ISSAC 1998).
+Int order on words is then graded lex order, so the normal form's heap holds
+negated words; a monomial times another is their words' sum; a divides b
+exactly when no field of b - a borrows, which the top bit of each field, a
+guard bit, shows; and the lcm is a fieldwise max made by the same guard
+bits.  These hold while every field stays below 2^31, which holds while the
+total degree does, since no field exceeds it.  So a run raises
+ResourceBudgetExceeded of kind gb-degree for an input monomial or a pair
+lcm of total degree 2^31 or more, the one check that keeps every word
+exact.  Words are made from the input dicts and turned back into tuples for
+the LaurentPoly results and for the Hilbert-driven bookkeeping below.
+
 only_trivial_solution asks whether homogeneous f_1, ..., f_m in n variables
 have only the trivial common zero, that is, whether I = <f_1, ..., f_m>
 contains every monomial of some degree.  Three shortcuts decide it without a
@@ -27,6 +41,7 @@ full reduced basis, each of them sound:
   once the smallest pending pair has lcm degree above D, the leads so far
   divide the lead of every element of I of degree at most D.  A variable
   without a pure-power lead then has x_i^D outside I: the answer is False.
+  A pair of lcm degree above D would never be popped, so it is not queued.
 - Mod p first.  The run is first made mod PRIME, and a True answer there is
   final.  It shows that I mod p holds a power of every variable, hence
   every monomial of some degree D, so the degree-D Macaulay matrix (the
@@ -60,31 +75,28 @@ mod p alike:
   pair has degree above d, the leads give R/I its dimension |S_d| in degree
   d; if that exceeds h_d, the answer is False.  Mod p this is a False
   answer like any other, and the exact run decides.
+
+The h-vector's length and each set S_d, one entry per monomial, are charged
+to MAX_REDUCTION_WORK before they are built, so a generator of high degree
+exhausts that budget instead of the time it takes to list its monomials.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, neg
 
 from .errors import Budgets, ResourceBudgetExceeded
 from .ring import (
     QQ,
     LaurentPoly,
     Ring,
-    _add_shifted,
     _embed_vars,
     _primitive_terms,
-    grlex_key,
     laurent_normalize,
-    mono_div,
-    mono_divides,
-    mono_lcm,
 )
 
 
@@ -93,7 +105,8 @@ from .ring import (
 MAX_BASIS = 500
 
 # Terms one run may touch in reduction steps (the reducer terms added, and
-# over Q the terms a pseudo-reduction rescales) before giving up.
+# over Q the terms a pseudo-reduction rescales), plus the standard monomials
+# and h-vector entries a Hilbert-driven run lists, before giving up.
 MAX_REDUCTION_WORK = 500_000
 
 # The prime of only_trivial_solution's first, modular run.
@@ -128,7 +141,10 @@ class IdealBasis:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis: monic over Q, pairwise tail-reduced, sorted."""
+    """Reduced Groebner basis: monic over Q, pairwise tail-reduced, sorted.
+
+    The reducer triples keep the integer basis in packed words, for
+    normal_form."""
 
     ring: Ring
     polys: tuple[LaurentPoly, ...]
@@ -139,6 +155,77 @@ class GroebnerBasis:
 
     def is_unit_ideal(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].is_constant()
+
+
+# -- packed monomials -----------------------------------------------------
+
+
+# Width of one field of a word; its top bit is a guard bit, always 0 in a
+# word, so an exponent or a total degree must stay below MAX_WORD_DEGREE.
+FIELD_BITS = 32
+FIELD_MASK = (1 << FIELD_BITS) - 1
+MAX_WORD_DEGREE = 1 << (FIELD_BITS - 1)
+
+
+def _degree_exceeded(deg: int) -> ResourceBudgetExceeded:
+    return ResourceBudgetExceeded(
+        "gb-degree", f"monomial degree {deg} reaches the word limit {MAX_WORD_DEGREE}"
+    )
+
+
+class _Words:
+    """Monomials in n variables packed into one int word each.
+
+    The word of x^e is deg << n*FIELD_BITS | e_0 << (n-1)*FIELD_BITS | ...
+    | e_{n-1}, deg being the total degree: int order on words is graded lex
+    order, and the word of a product is the sum of the words.  Each field's
+    guard bit stays 0 while the total degree stays below MAX_WORD_DEGREE,
+    since no field exceeds it; pack and lcm raise ResourceBudgetExceeded
+    (kind gb-degree) for a monomial that reaches it.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.top = n * FIELD_BITS
+        self.guard = sum(1 << (k * FIELD_BITS + FIELD_BITS - 1) for k in range(n + 1))
+        self.exponents = (1 << self.top) - 1
+        # times a word's exponent fields, this puts their sum (below 2^32,
+        # so no field carries) in the field above them
+        self._degree_sum = sum(1 << (k * FIELD_BITS) for k in range(1, n + 1))
+        self._shifts = range(self.top - FIELD_BITS, -1, -FIELD_BITS)
+
+    def pack(self, m) -> int:
+        w = sum(m)
+        if w >= MAX_WORD_DEGREE:
+            raise _degree_exceeded(w)
+        for e in m:
+            w = w << FIELD_BITS | e
+        return w
+
+    def unpack(self, w: int) -> tuple:
+        return tuple(w >> s & FIELD_MASK for s in self._shifts)
+
+    def pack_terms(self, d: dict) -> dict:
+        return {self.pack(m): c for m, c in d.items()}
+
+    def unpack_terms(self, d: dict) -> dict:
+        return {self.unpack(w): c for w, c in d.items()}
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the monomial a divides b: no field of b - a borrows."""
+        return not (b - a) & self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """The word of the lcm, by a fieldwise max: the guard bits of
+        (a | guard) - b mark the fields where a is the larger, and one
+        multiplication spreads each mark over its field."""
+        guard = self.guard
+        a_larger = (((a | guard) - b) & guard) >> (FIELD_BITS - 1)
+        e = (b ^ ((a ^ b) & a_larger * FIELD_MASK)) & self.exponents
+        deg = (e * self._degree_sum) >> self.top & FIELD_MASK
+        if deg >= MAX_WORD_DEGREE:
+            raise _degree_exceeded(deg)
+        return deg << self.top | e
 
 
 # -- integer term-dict plumbing ------------------------------------------
@@ -155,10 +242,21 @@ def _to_int_dict(p: LaurentPoly) -> dict:
     return _primitive_terms(terms)
 
 
+def _primitive(d: dict) -> dict:
+    """_primitive_terms for a word-keyed dict: d over its content, with a
+    positive leading coefficient."""
+    if not d:
+        return d
+    g = math.gcd(*d.values())
+    if d[max(d)] < 0:
+        g = -g
+    return d if g == 1 else {m: c // g for m, c in d.items()}
+
+
 def _reducer(d: dict, p: int = 0):
-    """(leading monomial, leading coefficient, terms) of a nonzero dict;
-    mod p the terms are made monic first."""
-    lm = max(d, key=grlex_key)
+    """(leading word, leading coefficient, terms) of a nonzero word-keyed
+    dict; mod p the terms are made monic first."""
+    lm = max(d)
     if p:
         inv = pow(d[lm], -1, p)
         d = {m: c * inv % p for m, c in d.items()}
@@ -166,39 +264,35 @@ def _reducer(d: dict, p: int = 0):
 
 
 class _Reducers:
-    """The reducer triples of one run, its modulus (0 over Q), the reduction
-    work spent so far, and a cache of the reduction step for each lead.
+    """The reducer triples of one run, its words, its modulus (0 over Q), the
+    reduction work spent so far, and a cache of the reduction step for each
+    lead.
 
     The cache is valid because a run's list only grows: the first divisor of
     a monomial in list order never changes, and a monomial without one need
     only be tested against the triples appended since.
     """
 
-    def __init__(self, triples, p: int = 0):
+    def __init__(self, triples, words: _Words, p: int = 0):
         self.triples = list(triples)
-        self.degrees = [sum(t[0]) for t in self.triples]
+        self.words = words
         self.p = p
         self.work = 0
         self._steps: dict = {}
 
-    def append(self, triple) -> None:
-        self.triples.append(triple)
-        self.degrees.append(sum(triple[0]))
-
-    def step(self, lm):
+    def step(self, lm: int):
         """The first triple in list order whose lead divides lm, as its
         leading coefficient and its terms times lm / lead; None if no lead
-        divides lm.  A triple of higher lead degree cannot divide, so it is
-        skipped before the componentwise test."""
+        divides lm."""
         checked, hit = self._steps.get(lm, (0, None))
         if hit is None:
-            deg = sum(lm)
-            triples, degrees = self.triples, self.degrees
+            guard = self.words.guard
+            triples = self.triples
             for i in range(checked, len(triples)):
                 g_lm, g_lc, g_terms = triples[i]
-                if degrees[i] <= deg and mono_divides(g_lm, lm):
-                    shift = mono_div(lm, g_lm)
-                    hit = (g_lc, [(tuple(map(add, m, shift)), c) for m, c in g_terms.items()])
+                shift = lm - g_lm
+                if not shift & guard:
+                    hit = (g_lc, [(m + shift, c) for m, c in g_terms.items()])
                     break
             self._steps[lm] = (len(triples), hit)
         return hit
@@ -211,28 +305,24 @@ class _Reducers:
             )
 
 
-def _heap_entry(m):
-    # heapq pops its smallest entry first, so the grlex-largest monomial
-    # gets the smallest key
-    return (-sum(m), tuple(map(neg, m)), m)
-
-
 def _normal_form(fdict: dict, red: _Reducers) -> dict:
-    """Full normal form of fdict against red.
+    """Full normal form of the word-keyed fdict against red.
 
     Over Q by pseudo-reduction, with a primitive result; mod p by monic
     reduction, with the result in [0, p) but not yet monic.  Leads come off
-    a heap of the pending monomials (one that cancelled is skipped when it
-    surfaces), and each step uses red.step.  Mod p a pending coefficient is
-    reduced only when it surfaces as a lead.
+    a heap of the pending words, negated so that the largest comes first
+    (one that cancelled is skipped when it surfaces), and each step uses
+    red.step.  Mod p a pending coefficient is reduced only when it surfaces
+    as a lead.
     """
     p = red.p
     f = dict(fdict)
-    heap = [_heap_entry(m) for m in f]
+    heap = [-m for m in f]
     heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
     rem: dict = {}
     while heap:
-        lm = heapq.heappop(heap)[2]
+        lm = -heappop(heap)
         lc = f.get(lm)
         if lc is None:
             continue
@@ -265,7 +355,7 @@ def _normal_form(fdict: dict, red: _Reducers) -> dict:
             old = f.get(key)
             if old is None:
                 f[key] = -b * c
-                heapq.heappush(heap, _heap_entry(key))
+                heappush(heap, -key)
             else:
                 s = old - b * c
                 if s:
@@ -274,24 +364,31 @@ def _normal_form(fdict: dict, red: _Reducers) -> dict:
                     del f[key]
         f.pop(lm, None)  # mod p it may hold a nonzero multiple of p
         red.charge(len(shifted))
-    return rem if p else _primitive_terms(rem)
+    return rem if p else _primitive(rem)
 
 
-def _spoly(f, g) -> dict:
-    """S-polynomial of two reducer triples, integer-scaled."""
+def _spoly(f, g, L: int) -> dict:
+    """S-polynomial of two reducer triples with lead lcm L, integer-scaled."""
     f_lm, f_lc, f_terms = f
     g_lm, g_lc, g_terms = g
-    L = mono_lcm(f_lm, g_lm)
     m = abs(f_lc * g_lc) // math.gcd(f_lc, g_lc)
-    out: dict = {}
-    _add_shifted(out, f_terms, m // f_lc, mono_div(L, f_lm))
-    _add_shifted(out, g_terms, -(m // g_lc), mono_div(L, g_lm))
+    a, shift = m // f_lc, L - f_lm
+    out = {k + shift: a * c for k, c in f_terms.items()}
+    a, shift = m // g_lc, L - g_lm
+    for k, c in g_terms.items():
+        key = k + shift
+        s = out.get(key, 0) - a * c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
     return out
 
 
-def _interreduce(reducers: list) -> list:
+def _interreduce(red: _Reducers) -> list:
     """Reduced basis from the reducer triples of a Groebner basis over Q, as
-    reducer triples sorted by leading monomial."""
+    reducer triples sorted by leading word."""
+    reducers, words = red.triples, red.words
     # drop elements whose leading monomial another one divides
     kept = []
     for i, (lm, _, _) in enumerate(reducers):
@@ -299,7 +396,7 @@ def _interreduce(reducers: list) -> list:
         for j, (other_lm, _, _) in enumerate(reducers):
             if i == j:
                 continue
-            if mono_divides(other_lm, lm) and (other_lm != lm or j < i):
+            if words.divides(other_lm, lm) and (other_lm != lm or j < i):
                 redundant = True
                 break
         if not redundant:
@@ -308,26 +405,40 @@ def _interreduce(reducers: list) -> list:
     out = []
     for i, (_, _, terms) in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        reduced = (
-            _normal_form(terms, _Reducers(others)) if others else _primitive_terms(terms)
-        )
+        reduced = _normal_form(terms, _Reducers(others, words)) if others else _primitive(terms)
         if reduced:
             out.append(_reducer(reduced))
-    out.sort(key=lambda r: grlex_key(r[0]))
+    out.sort()
     return out
 
 
 def _h_vector(degrees) -> list[int]:
     """Coefficients of the product of the (1 + t + ... + t^(d - 1)) over
-    degrees: the Hilbert function of a complete intersection."""
+    degrees: the Hilbert function of a complete intersection.  Each factor
+    takes one pass, each coefficient being a running sum over a window of
+    d coefficients."""
     h = [1]
     for d in degrees:
-        out = [0] * (len(h) + d - 1)
-        for i, c in enumerate(h):
-            for k in range(i, i + d):
-                out[k] += c
+        out = []
+        window = 0
+        for k in range(len(h) + d - 1):
+            if k < len(h):
+                window += h[k]
+            if k >= d:
+                window -= h[k - d]
+            out.append(window)
         h = out
     return h
+
+
+def _degree_monomials(n: int, d: int):
+    """The exponent vectors of degree d in n >= 1 variables."""
+    if n == 1:
+        yield (d,)
+        return
+    for e in range(d, -1, -1):
+        for rest in _degree_monomials(n - 1, d - e):
+            yield (e,) + rest
 
 
 class _Standard:
@@ -336,11 +447,13 @@ class _Standard:
     generators (see the module docstring).
 
     At the lowest generator degree only their count is kept; the set is
-    built when the loop leaves that degree.
+    built when the loop leaves that degree.  Each set is charged to the
+    run's reduction work before it is built.
     """
 
-    def __init__(self, leads: list, hilbert: list[int]):
+    def __init__(self, leads: list, hilbert: list[int], red: _Reducers):
         self.hilbert = hilbert
+        self.red = red
         self.leads = set(leads)
         self.nvars = len(leads[0])
         self.deg = min(map(sum, leads))
@@ -371,14 +484,12 @@ class _Standard:
             if self.count > self._h():
                 return False
             if self.monos is None:
-                self.monos = {
-                    m
-                    for c in itertools.combinations_with_replacement(range(n), self.deg)
-                    if (m := tuple(map(c.count, range(n)))) not in leads
-                }
+                self.red.charge(math.comb(self.deg + n - 1, n - 1))
+                self.monos = {m for m in _degree_monomials(n, self.deg) if m not in leads}
             # M is standard iff it is no lead and every M / x_j is standard,
             # that is, iff as many standard monomials as M has variables
             # reach it by one multiplication
+            self.red.charge(n * len(self.monos))
             hits = Counter(s[:j] + (s[j] + 1,) + s[j + 1:] for s in self.monos for j in range(n))
             self.monos = {m for m, k in hits.items() if k == n - m.count(0) and m not in leads}
             self.deg += 1
@@ -394,13 +505,13 @@ def _complete(
     Without cap it runs until no pair is left and returns False.  With cap,
     for a homogeneous system of positive degree (see the module docstring),
     it returns True as soon as every variable has a pure-power lead, and
-    False once the smallest pending pair has lcm degree above cap.  With
-    hilbert too, the h-vector of n generators in n variables, it skips the
-    pairs of a degree whose standard monomials number h_d, and returns False
-    at the first complete degree with more.
+    False once no pair of lcm degree at most cap is left: a pair above cap
+    is never queued.  With hilbert too, the h-vector of n generators in n
+    variables, it skips the pairs of a degree whose standard monomials
+    number h_d, and returns False at the first complete degree with more.
     """
-    reducers = red.triples
-    nvars = len(reducers[0][0])
+    reducers, words = red.triples, red.words
+    guard, top, lcm = words.guard, words.top, words.lcm
     powers: set[int] = set()
 
     def settles(lm) -> bool:
@@ -408,46 +519,45 @@ def _complete(
         used = [i for i, e in enumerate(lm) if e]
         if len(used) == 1:
             powers.add(used[0])
-        return len(powers) == nvars
+        return len(powers) == words.n
 
-    if cap is not None and any(settles(lm) for lm, _, _ in reducers):
+    leads = [words.unpack(lm) for lm, _, _ in reducers]
+    if cap is not None and any(map(settles, leads)):
         return True
 
     pairs: list = []
     handled: set[tuple[int, int]] = set()
 
     def push_pair(i: int, j: int):
-        L = mono_lcm(reducers[i][0], reducers[j][0])
-        heapq.heappush(pairs, (grlex_key(L), i, j, L))
+        L = lcm(reducers[i][0], reducers[j][0])
+        if cap is None or L >> top <= cap:
+            heapq.heappush(pairs, (L, i, j))
 
     for i in range(len(reducers)):
         for j in range(i + 1, len(reducers)):
             push_pair(i, j)
 
-    std = None if hilbert is None else _Standard([lm for lm, _, _ in reducers], hilbert)
+    std = None if hilbert is None else _Standard(leads, hilbert, red)
     popped = 0
     while pairs:
-        deg = pairs[0][0][0]  # the smallest lcm degree
-        if cap is not None and deg > cap:
+        if std is not None and not std.advance(pairs[0][0] >> top):
             return False
-        if std is not None and not std.advance(deg):
-            return False
-        _, i, j, L = heapq.heappop(pairs)
+        L, i, j = heapq.heappop(pairs)
         handled.add((i, j))
         popped += 1
         if popped > max_pairs:
             raise ResourceBudgetExceeded("gb-pairs", f"S-pair budget {max_pairs} exceeded")
         if std is not None and std.filled():
             continue  # it reduces to zero
-        # coprime-leads criterion
-        if all(min(a, b) == 0 for a, b in zip(reducers[i][0], reducers[j][0])):
+        # coprime-leads criterion: the lcm is the product
+        if L == reducers[i][0] + reducers[j][0]:
             continue
         # chain criterion
         skip = False
         for k, (lm_k, _, _) in enumerate(reducers):
             if k in (i, j):
                 continue
-            if mono_divides(lm_k, L):
+            if not (L - lm_k) & guard:
                 p1 = (min(i, k), max(i, k))
                 p2 = (min(j, k), max(j, k))
                 if p1 in handled and p2 in handled:
@@ -455,15 +565,16 @@ def _complete(
                     break
         if skip:
             continue
-        r = _normal_form(_spoly(reducers[i], reducers[j]), red)
+        r = _normal_form(_spoly(reducers[i], reducers[j], L), red)
         if not r:
             continue
-        red.append(_reducer(r, red.p))
+        reducers.append(_reducer(r, red.p))
         if len(reducers) > MAX_BASIS:
             raise ResourceBudgetExceeded("gb-basis", f"basis size budget {MAX_BASIS} exceeded")
+        lead = words.unpack(reducers[-1][0])
         if std is not None:
-            std.add_lead(reducers[-1][0])
-        if cap is not None and settles(reducers[-1][0]):
+            std.add_lead(lead)
+        if cap is not None and settles(lead):
             return True
         new = len(reducers) - 1
         for k in range(new):
@@ -480,22 +591,24 @@ def buchberger(I: IdealBasis, budgets: Budgets = Budgets()) -> GroebnerBasis:
     on.
     """
     ring = Ring(I.ring.nvars, False, QQ)
+    words = _Words(ring.nvars)
     # one (lm, lc, terms) triple per basis element; elements never change
     red = _Reducers(
-        _reducer(d) for d in (_to_int_dict(g) for g in I.generators) if d
+        (_reducer(words.pack_terms(d)) for d in (_to_int_dict(g) for g in I.generators) if d),
+        words,
     )
     if not red.triples:
         return GroebnerBasis(ring, (), _reducers=())
     _complete(red, budgets.max_pairs)
-    reduced = tuple(_interreduce(red.triples))
+    reduced = tuple(_interreduce(red))
     polys = tuple(
-        LaurentPoly(ring, {m: Fraction(c, lc) for m, c in terms.items()})
+        LaurentPoly(ring, {words.unpack(m): Fraction(c, lc) for m, c in terms.items()})
         for _, lc, terms in reduced
     )
     # sanity: every input generator must reduce to zero against the output
-    check = _Reducers(reduced)
+    check = _Reducers(reduced, words)
     for g in I.generators:
-        if _normal_form(_to_int_dict(g), check):
+        if _normal_form(words.pack_terms(_to_int_dict(g)), check):
             raise AssertionError("input generator does not reduce to zero")
     return GroebnerBasis(ring, polys, _reducers=reduced)
 
@@ -506,8 +619,9 @@ def normal_form(f: LaurentPoly, G: GroebnerBasis) -> LaurentPoly:
         raise ValueError("normal form expects an ordinary polynomial")
     if f.ring.nvars != G.ring.nvars:
         raise ValueError("variable count mismatch")
-    rem = _normal_form(_to_int_dict(f), _Reducers(G.reducers()))
-    return LaurentPoly(G.ring, {m: Fraction(c) for m, c in rem.items()})
+    words = _Words(G.ring.nvars)
+    rem = _normal_form(words.pack_terms(_to_int_dict(f)), _Reducers(G.reducers(), words))
+    return LaurentPoly(G.ring, {m: Fraction(c) for m, c in words.unpack_terms(rem).items()})
 
 
 def ideal_member(f: LaurentPoly, G: GroebnerBasis) -> bool:
@@ -542,8 +656,12 @@ def _trivial_zero_only(gens: list[dict], nvars: int, max_pairs: int, p: int = 0)
         return True  # a nonzero constant: the unit ideal has no zero at all
     if len(degrees) < nvars:
         return False
-    red = _Reducers((_reducer(d, p) for d in gens), p)
-    hilbert = _h_vector(degrees) if len(degrees) == nvars else None
+    words = _Words(nvars)
+    red = _Reducers((_reducer(words.pack_terms(d), p) for d in gens), words, p)
+    hilbert = None
+    if len(degrees) == nvars:
+        red.charge(sum(degrees) - nvars + 1)  # the length of the h-vector
+        hilbert = _h_vector(degrees)
     return _complete(red, max_pairs, cap=sum(degrees[:nvars]) - nvars + 1, hilbert=hilbert)
 
 

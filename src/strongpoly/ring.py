@@ -77,10 +77,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
 def grlex_key(m: Monomial):
     """Sort key for graded lex: total degree, then exponent vector."""
     return (sum(m), m)

@@ -32,7 +32,7 @@ from strongpoly import (
     torsion_alexander_poly,
     verify_ribbon_presentation,
 )
-from strongpoly import alexander
+from strongpoly import alexander, factor
 from strongpoly.factor import poly_gcd
 from strongpoly.groebner import IdealBasis
 
@@ -435,6 +435,20 @@ class TestRibbonCertificate:
             (1, -1): -1,
             (-1, 1): -1,
         }
+
+    def test_gate_and_intersection_share_one_gcd(self, monkeypatch):
+        # the coprime gate and the annihilator step use one gcd of p and
+        # bar(p), whether called here or through factor
+        calls = []
+
+        def counted(p, q):
+            calls.append((p, q))
+            return poly_gcd(p, q)
+
+        monkeypatch.setattr(alexander, "poly_gcd", counted)
+        monkeypatch.setattr(factor, "poly_gcd", counted)
+        assert verify_ribbon_presentation(P).ok
+        assert calls == [(P.to_laurent(), P.to_laurent().bar())]
 
     def test_bar_associate_input_rejected(self):
         # bar(x1 + x2) is a unit multiple of x1 + x2, so the gate trips

@@ -20,7 +20,8 @@ from strongpoly import (
     parse_polynomial,
 )
 from strongpoly import groebner
-from strongpoly.groebner import PRIME, ideal_member, radical_member
+from strongpoly.groebner import MAX_WORD_DEGREE, PRIME, ideal_member, radical_member
+from strongpoly.ring import grlex_key, mono_divides
 from strongpoly.strongcheck import criterion_system
 
 from conftest import nonzero_poly_st
@@ -129,6 +130,58 @@ class TestBuchberger:
                     [x - y for x, y in zip(L, f.leading_monomial())]
                 ) - g.mul_monomial([x - y for x, y in zip(L, g.leading_monomial())])
                 assert ideal_member(s, G)
+
+
+def exponents(n):
+    # small, bounded so that n of them stay below the word limit, or any
+    return st.integers(0, 3) | st.integers(0, (MAX_WORD_DEGREE - 1) // n) | st.integers(
+        0, MAX_WORD_DEGREE - 1
+    )
+
+
+class TestWords:
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(st.tuples(*[exponents(n)] * n), min_size=2, max_size=2)
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_words_follow_the_monomials(self, monos):
+        a, b = monos
+        words = groebner._Words(len(a))
+        for m in monos:
+            if sum(m) >= MAX_WORD_DEGREE:
+                with pytest.raises(ResourceBudgetExceeded) as info:
+                    words.pack(m)
+                assert info.value.kind == "gb-degree"
+        assume(max(sum(a), sum(b)) < MAX_WORD_DEGREE)
+        wa, wb = words.pack(a), words.pack(b)
+        assert (words.unpack(wa), words.unpack(wb)) == (a, b)
+        assert (wa < wb) == (grlex_key(a) < grlex_key(b))
+        assert (wa == wb) == (a == b)
+        assert words.divides(wa, wb) == mono_divides(a, b)
+        assert words.divides(wb, wa) == mono_divides(b, a)
+        lcm = tuple(map(max, a, b))
+        if sum(lcm) < MAX_WORD_DEGREE:
+            assert words.lcm(wa, wb) == words.lcm(wb, wa) == words.pack(lcm)
+        else:
+            with pytest.raises(ResourceBudgetExceeded) as info:
+                words.lcm(wa, wb)
+            assert info.value.kind == "gb-degree"
+
+    def test_degree_past_the_word_limit_is_a_budget(self):
+        R2 = Ring(2, False, QQ)
+        G = buchberger(basis(R2, {(MAX_WORD_DEGREE - 1, 0): 1, (0, 1): -1}))
+        assert text_basis(G) == [f"x1^{MAX_WORD_DEGREE - 1} - x2"]
+        # an input monomial of degree 2^31
+        with pytest.raises(ResourceBudgetExceeded) as info:
+            buchberger(basis(R2, {(MAX_WORD_DEGREE, 0): 1, (0, 1): -1}))
+        assert info.value.kind == "gb-degree"
+        # a pair whose lcm x1^(2^30) * x2^(2^30) has degree 2^31
+        half = MAX_WORD_DEGREE // 2
+        with pytest.raises(ResourceBudgetExceeded) as info:
+            buchberger(basis(R2, {(half, 0): 1, (0, 1): 1}, {(0, half): 1, (1, 0): 1}))
+        assert info.value.kind == "gb-degree"
 
 
 class TestMembership:

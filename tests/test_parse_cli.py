@@ -412,6 +412,17 @@ class TestExitCodes:
         assert "the combination identity needs more than" in proc.stderr
         assert time.perf_counter() - start < 10
 
+    @pytest.mark.parametrize("text", ["x1^1000 + x2 + 1", "x1^100000 + x2 + 1"])
+    def test_high_degree_criterion_is_a_work_budget(self, text):
+        # the criterion's standard monomials of degree 1000 used to be built
+        # one by one (501,501 of them), past 60 s; they count as reduction
+        # work now, charged before the set is built
+        start = time.perf_counter()
+        proc = run_cli("check-strong-irred", text, timeout=30)
+        assert proc.returncode == 2
+        assert "reason: resource-gb-work" in proc.stdout
+        assert time.perf_counter() - start < 10
+
     def test_constant_primes_with_a_huge_exponent_end_quickly(self):
         # one term per power, so the term budget cannot stop a power built
         # one factor at a time: 2^100000 must come by squaring

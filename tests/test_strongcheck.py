@@ -1,5 +1,6 @@
 """Strong irreducibility / strong coprimality verdicts."""
 
+import heapq
 from functools import reduce
 
 import pytest
@@ -260,7 +261,8 @@ class TestCriterionWork:
         # a dense three-variable cubic: its criterion runs skip the pairs of
         # every degree the complete-intersection Hilbert function fills, so
         # the proof takes 42 normal forms, not the 91 (55 of them zero) of a
-        # pair loop without it
+        # pair loop without it.  A pair whose lcm degree passes Lazard's cap
+        # would never be popped, so it is never queued either.
         p = parse_polynomial(
             "-7*x3^3 - 8*x2*x3^2 - 9*x2^2*x3 + 7*x2^3 - 6*x1*x3^2 + x1*x2*x3"
             " - 7*x1*x2^2 + 3*x1^2*x3 - 8*x1^2*x2 + 8*x1^3 - 6*x3^2 + 8*x2*x3 + x2^2"
@@ -274,10 +276,32 @@ class TestCriterionWork:
             calls.append(1)
             return normal_form(f, red)
 
+        runs = []
+        complete = groebner._complete
+
+        def spied_complete(red, max_pairs, cap=None, hilbert=None):
+            runs.append((cap, red.words, []))
+            return complete(red, max_pairs, cap, hilbert)
+
+        class SpiedHeap:
+            heapify = staticmethod(heapq.heapify)
+            heappop = staticmethod(heapq.heappop)
+
+            @staticmethod
+            def heappush(heap, entry):
+                if isinstance(entry, tuple):  # an S-pair (lcm, i, j)
+                    runs[-1][2].append(entry[0])
+                heapq.heappush(heap, entry)
+
         monkeypatch.setattr(groebner, "_normal_form", counted)
+        monkeypatch.setattr(groebner, "_complete", spied_complete)
+        monkeypatch.setattr(groebner, "heapq", SpiedHeap)
         v = check_strongly_irreducible(p)
         assert (v.status, v.rule) == (PROVED, "criterion")
-        assert len(calls) <= 50
+        assert len(calls) == 42
+        assert any(queued for _, _, queued in runs)
+        for cap, words, queued in runs:
+            assert all(sum(words.unpack(L)) <= cap for L in queued)
 
 
 class TestOptions:
