@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
 
-from .errors import ResourceBudgetExceeded
+from .errors import Meter
 from .factor import is_irreducible, poly_gcd
 from .groebner import IdealBasis
 from .ring import (
@@ -84,32 +84,31 @@ class ModulePresentation:
         return cls(ring, rows, ncols)
 
 
-def _next_layer(layer: dict, row: list, work: list) -> dict:
+def _minor_meter() -> Meter:
+    return Meter("minors", MAX_MINOR_WORK, f"minors need over {MAX_MINOR_WORK} work units")
+
+
+def _next_layer(layer: dict, row: list, work: Meter) -> dict:
     """The nonzero partial minors after one more row of the cofactor
     expansion.
 
     layer maps each sorted column set of the rows taken so far to the term
     dict of their minor on those columns; row is the next row's term dicts.
-    Column j enters with sign (-1)^#(used columns > j).  work is a one-item
-    list of the MAX_MINOR_WORK units left.
+    Column j enters with sign (-1)^#(used columns > j).  Each product of an
+    entry with a minor spends its term products plus one from work.
     """
+    spend = work.spend
     nxt: dict = {}
     for cols, minor in layer.items():
         for j, entry in enumerate(row):
             if not entry or j in cols:
                 continue
-            _spend(work, len(entry) * len(minor) + 1)
+            spend(len(entry) * len(minor) + 1)
             acc = nxt.setdefault(tuple(sorted(cols + (j,))), {})
             sign = -1 if sum(c > j for c in cols) % 2 else 1
             for m, c in entry.items():
                 _add_shifted(acc, minor, sign * c, m)
     return {cols: minor for cols, minor in nxt.items() if minor}
-
-
-def _spend(work: list, units: int) -> None:
-    work[0] -= units
-    if work[0] < 0:
-        raise ResourceBudgetExceeded("minors", f"minors need over {MAX_MINOR_WORK} work units")
 
 
 def _rank_layer(pres: ModulePresentation) -> tuple[int, dict]:
@@ -124,7 +123,7 @@ def _rank_layer(pres: ModulePresentation) -> tuple[int, dict]:
     ResourceBudgetExceeded("minors") once the expansion passes
     MAX_MINOR_WORK.
     """
-    work = [MAX_MINOR_WORK]
+    work = _minor_meter()
     layer = {(): {(0,) * pres.ring.nvars: 1}}
     rank = 0
     for row in pres.rows:
@@ -157,8 +156,8 @@ def elementary_ideal(pres: ModulePresentation, k: int) -> IdealBasis:
     size = max(pres.ncols - k, 0)
     # Each row selection is expanded once, row by row, and every column
     # selection of those rows shares its partial minors.
-    work = [MAX_MINOR_WORK]
-    _spend(work, comb(pres.nrows, size))
+    work = _minor_meter()
+    work.spend(comb(pres.nrows, size))
     rows = [[e.term_dict() for e in row] for row in pres.rows]
 
     def minors():
@@ -296,13 +295,11 @@ def _braid_action(word, strands: int):
             raise ValueError(f"crossing {a} invalid for {strands} strands")
     images = {g: [g] for g in range(1, strands + 1)}
     perm = list(range(strands + 1))  # perm[j] = end position of strand j
-    rewritten = 0
+    rewritten = Meter(
+        "braid-words", MAX_BRAID_LETTERS, f"braid action rewrote more than {MAX_BRAID_LETTERS} letters"
+    )
     for a in word:
-        rewritten += sum(len(w) for w in images.values())
-        if rewritten > MAX_BRAID_LETTERS:
-            raise ResourceBudgetExceeded(
-                "braid-words", f"braid action rewrote more than {MAX_BRAID_LETTERS} letters"
-            )
+        rewritten.spend(sum(len(w) for w in images.values()))
         i = abs(a)
         new = {}
         for g, w in images.items():

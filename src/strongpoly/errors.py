@@ -17,6 +17,25 @@ class ResourceBudgetExceeded(RuntimeError):
         self.kind = kind
 
 
+class Meter:
+    """One cumulative work budget: spend(units) adds to the running total
+    and raises ResourceBudgetExceeded(kind, message) once the total passes
+    limit."""
+
+    __slots__ = ("kind", "limit", "message", "spent")
+
+    def __init__(self, kind: str, limit: int, message: str):
+        self.kind = kind
+        self.limit = limit
+        self.message = message
+        self.spent = 0
+
+    def spend(self, units: int) -> None:
+        self.spent += units
+        if self.spent > self.limit:
+            raise ResourceBudgetExceeded(self.kind, self.message)
+
+
 @dataclass(frozen=True)
 class Budgets:
     """The settable budgets; every other cap is a module constant.

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from . import verdict
-from .errors import Budgets, ResourceBudgetExceeded
+from .errors import Budgets, Meter, ResourceBudgetExceeded
 from .ring import (
     ZZ,
     LaurentPoly,
@@ -44,6 +44,7 @@ from .ring import (
     _add_shifted,
     _div_terms,
     _mul_terms,
+    _power,
     _primitive_terms,
     exact_divide,
     laurent_normalize,
@@ -200,17 +201,6 @@ def _gf_monic(f, p):
     inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]
 
-def _gf_pow_mod(base, e, mod, p):
-    result = [1]
-    b = list(base)
-    while e:
-        if e & 1:
-            result = _uv_divmod(_uv_mul(result, b), mod, p)[1]
-        e >>= 1
-        if e:
-            b = _uv_divmod(_uv_mul(b, b), mod, p)[1]
-    return result
-
 def _gf_xgcd(f, g, p):
     """(d, s, t) monic d = s*f + t*g over GF(p)."""
     r0, r1 = _uv_mod(f, p), _uv_mod(g, p)
@@ -233,7 +223,7 @@ def _berlekamp(f, p) -> list:
     if n <= 1:
         return [list(f)]
     # rows of the Frobenius matrix Q: x^(i*p) mod f
-    xp = _gf_pow_mod([0, 1], p, f, p)
+    xp = _power([1], [0, 1], p, lambda g, h: _uv_divmod(_uv_mul(g, h), f, p)[1])
     rows = []
     cur = [1]
     for _ in range(n):
@@ -419,23 +409,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _recombine(n: int, accept, exceeded: ResourceBudgetExceeded):
+def _recombine(n: int, accept, trials: Meter):
     """Yield accept's result for each subset of the items 0..n-1 it takes.
 
     Subsets of the items still in the pool are tried by size, then in index
-    order, up to half the pool, and each one tried counts against
-    MAX_KRON_TRIALS; past it, `exceeded` is raised.  accept(combo) returns
-    None to reject a subset; an accepted one leaves the pool, and the search
-    goes on at the same size.
+    order, up to half the pool, and each one tried spends one unit of
+    trials.  accept(combo) returns None to reject a subset; an accepted one
+    leaves the pool, and the search goes on at the same size.
     """
     pool = list(range(n))
-    trials = 0
     size = 1
     while 2 * size <= len(pool):
         for combo in itertools.combinations(pool, size):
-            trials += 1
-            if trials > MAX_KRON_TRIALS:
-                raise exceeded
+            trials.spend(1)
             found = accept(combo)
             if found is not None:
                 yield found
@@ -482,8 +468,8 @@ def _zassenhaus_squarefree(f: list) -> list:
 
     found_monic: list = []
     remaining = list(F)
-    exceeded = ResourceBudgetExceeded("factor-trials", "recombination budget exceeded")
-    for cand, quo in _recombine(len(items), divides, exceeded):
+    trials = Meter("factor-trials", MAX_KRON_TRIALS, "recombination budget exceeded")
+    for cand, quo in _recombine(len(items), divides, trials):
         found_monic.append(cand)
         remaining = quo
     if _uv_deg(remaining) >= 1:
@@ -585,7 +571,7 @@ def _int_factor(n: int) -> list[tuple[int, int]]:
             out[d] = k
         d += 1
     # every prime factor left is >= d, so a cofactor below d*d is prime
-    steps = MAX_RHO_STEPS
+    steps = Meter("int-factor", MAX_RHO_STEPS, "")
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
@@ -596,7 +582,7 @@ def _int_factor(n: int) -> list[tuple[int, int]]:
         if prime:
             out[m] = out.get(m, 0) + 1
         else:
-            g, steps = _rho_split(m, steps)
+            g = _rho_split(m, steps)
             pending += [g, m // g]
     return sorted(out.items())
 
@@ -612,9 +598,10 @@ def _strip_power(n: int, d: int) -> tuple[int, int]:
     return n // d, 2 * k + 2
 
 
-def _rho_split(n: int, steps: int) -> tuple[int, int]:
+def _rho_split(n: int, steps: Meter) -> int:
     """A proper factor of the odd composite n by Brent's variant of Pollard
-    rho (gcds batched over 128 steps), and the steps left of `steps`."""
+    rho (gcds batched over 128 steps), each step spent from steps."""
+    steps.message = f"no factor of {n} within {MAX_RHO_STEPS} rho steps"
     for c in itertools.count(1):
         y = q = g = r = 1
         x = ys = y
@@ -630,11 +617,7 @@ def _rho_split(n: int, steps: int) -> tuple[int, int]:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += 128
-            steps -= r + min(k, r)
-            if steps < 0:
-                raise ResourceBudgetExceeded(
-                    "int-factor", f"no factor of {n} within {MAX_RHO_STEPS} rho steps"
-                )
+            steps.spend(r + min(k, r))
             r *= 2
         if g == n:
             # the batch overshot: redo its steps one gcd at a time
@@ -643,7 +626,7 @@ def _rho_split(n: int, steps: int) -> tuple[int, int]:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g, steps
+            return g
 
 
 # -- multivariate gcd -----------------------------------------------------
@@ -655,9 +638,14 @@ def _rho_split(n: int, steps: int) -> tuple[int, int]:
 MAX_GCD_TERM_PRODUCTS = 10**6
 
 
-def _dict_gcd(f: dict, g: dict, budget: list) -> dict:
+def _gcd_meter() -> Meter:
+    message = f"pseudo-remainders need more than {MAX_GCD_TERM_PRODUCTS} term products"
+    return Meter("gcd", MAX_GCD_TERM_PRODUCTS, message)
+
+
+def _dict_gcd(f: dict, g: dict, meter: Meter) -> dict:
     """gcd of integer term dicts, primitive PRS recursion, sign-normalized;
-    budget is a one-item list of the term products _dict_prem may spend."""
+    _dict_prem spends its term products from meter."""
     if not f:
         return _primitive_terms(g)
     if not g:
@@ -677,16 +665,16 @@ def _dict_gcd(f: dict, g: dict, budget: list) -> dict:
         z = next(iter(f))
         return {z: math.gcd(f[z], next(iter(g.values())))}
     v = min(used)
-    fc, fp = _split_content(f, v, budget)
-    gc, gp = _split_content(g, v, budget)
-    cont = _dict_gcd(fc, gc, budget)
+    fc, fp = _split_content(f, v, meter)
+    gc, gp = _split_content(g, v, meter)
+    cont = _dict_gcd(fc, gc, meter)
     a, b = fp, gp
     if _deg_in(a, v) < _deg_in(b, v):
         a, b = b, a
     while b:
-        r = _dict_prem(a, b, v, budget)
-        a, b = b, _primitive_in(r, v, budget)
-    a = _primitive_in(a, v, budget)
+        r = _dict_prem(a, b, v, meter)
+        a, b = b, _primitive_in(r, v, meter)
+    a = _primitive_in(a, v, meter)
     return _primitive_terms(_mul_terms(cont, a))
 
 
@@ -703,14 +691,14 @@ def _coeff_in(d: dict, v: int, e: int) -> dict:
     return out
 
 
-def _split_content(d: dict, v: int, budget: list) -> tuple[dict, dict]:
+def _split_content(d: dict, v: int, meter: Meter) -> tuple[dict, dict]:
     """(content, primitive part) of d viewed univariately in v; the
     primitive part is d itself when the content is one."""
     cont: dict = {}
     for e in range(_deg_in(d, v) + 1):
         ce = _coeff_in(d, v, e)
         if ce:
-            cont = _dict_gcd(cont, ce, budget) if cont else _primitive_terms(ce)
+            cont = _dict_gcd(cont, ce, meter) if cont else _primitive_terms(ce)
             if _is_dict_one(cont):
                 return cont, d
     pp = _div_terms(d, cont)
@@ -723,7 +711,7 @@ def _is_dict_one(d: dict) -> bool:
     return len(d) == 1 and next(iter(d.values())) == 1 and not any(next(iter(d)))
 
 
-def _dict_prem(f: dict, g: dict, v: int, budget: list) -> dict:
+def _dict_prem(f: dict, g: dict, v: int, meter: Meter) -> dict:
     """Pseudo-remainder of f by g in the variable v."""
     dg = _deg_in(g, v)
     glc = _coeff_in(g, v, dg)
@@ -731,11 +719,7 @@ def _dict_prem(f: dict, g: dict, v: int, budget: list) -> dict:
     while r and _deg_in(r, v) >= dg:
         dr = _deg_in(r, v)
         rlc = _coeff_in(r, v, dr)
-        budget[0] -= len(r) * len(glc) + len(rlc) * len(g)
-        if budget[0] < 0:
-            raise ResourceBudgetExceeded(
-                "gcd", f"pseudo-remainders need more than {MAX_GCD_TERM_PRODUCTS} term products"
-            )
+        meter.spend(len(r) * len(glc) + len(rlc) * len(g))
         # r = glc * r - rlc * x_v^(dr - dg) * g, one term of rlc at a time
         r = _mul_terms(r, glc)
         for m, c in rlc.items():
@@ -743,13 +727,13 @@ def _dict_prem(f: dict, g: dict, v: int, budget: list) -> dict:
     return r
 
 
-def _primitive_in(d: dict, v: int, budget: list) -> dict:
+def _primitive_in(d: dict, v: int, meter: Meter) -> dict:
     """d over its content in v and over its integer content: the gcd is
     taken up to integer factors, and keeping them lets the pseudo-remainders'
     coefficients grow exponentially."""
     if not d:
         return {}
-    _, pp = _split_content(d, v, budget)
+    _, pp = _split_content(d, v, meter)
     return _primitive_terms(pp)
 
 
@@ -778,7 +762,7 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
             hq, _ = laurent_normalize(h)
             return hq.term_dict()
         return h.term_dict()
-    d = _dict_gcd(norm(p), norm(q), [MAX_GCD_TERM_PRODUCTS])
+    d = _dict_gcd(norm(p), norm(q), _gcd_meter())
     return LaurentPoly(p.ring, d)
 
 
@@ -909,8 +893,8 @@ def _kronecker_split(p: LaurentPoly, max_degree: int):
         quo = exact_divide(p, cand)
         return None if quo is None else (cand, quo)
 
-    exceeded = ResourceBudgetExceeded("kronecker", "kronecker trial budget exceeded")
-    return next(_recombine(len(items), lift, exceeded), None)
+    trials = Meter("kronecker", MAX_KRON_TRIALS, "kronecker trial budget exceeded")
+    return next(_recombine(len(items), lift, trials), None)
 
 
 def is_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> Verdict:
@@ -970,7 +954,7 @@ def is_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> Verdict:
         return verdict.proved("degree-1")
 
     main = min(used, key=lambda v: (q.degree_in(v), v))
-    cont_v, pp = _split_content(q.term_dict(), main, [MAX_GCD_TERM_PRODUCTS])
+    cont_v, pp = _split_content(q.term_dict(), main, _gcd_meter())
     cont_v = LaurentPoly(q.ring, cont_v)
     if not cont_v.is_unit():
         return verdict.refuted({"factors": with_unit([cont_v, LaurentPoly(q.ring, pp)])})

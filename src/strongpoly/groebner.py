@@ -76,9 +76,10 @@ mod p alike:
   d; if that exceeds h_d, the answer is False.  Mod p this is a False
   answer like any other, and the exact run decides.
 
-The h-vector's length and each set S_d, one entry per monomial, are charged
-to MAX_REDUCTION_WORK before they are built, so a generator of high degree
-exhausts that budget instead of the time it takes to list its monomials.
+The h-vector's length and each set S_d, one unit per monomial, are spent
+from the run's reduction work before they are built, so a generator of high
+degree exhausts MAX_REDUCTION_WORK instead of the time it takes to list its
+monomials.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import Budgets, ResourceBudgetExceeded
+from .errors import Budgets, Meter, ResourceBudgetExceeded
 from .ring import (
     QQ,
     LaurentPoly,
@@ -242,17 +243,6 @@ def _to_int_dict(p: LaurentPoly) -> dict:
     return _primitive_terms(terms)
 
 
-def _primitive(d: dict) -> dict:
-    """_primitive_terms for a word-keyed dict: d over its content, with a
-    positive leading coefficient."""
-    if not d:
-        return d
-    g = math.gcd(*d.values())
-    if d[max(d)] < 0:
-        g = -g
-    return d if g == 1 else {m: c // g for m, c in d.items()}
-
-
 def _reducer(d: dict, p: int = 0):
     """(leading word, leading coefficient, terms) of a nonzero word-keyed
     dict; mod p the terms are made monic first."""
@@ -265,7 +255,7 @@ def _reducer(d: dict, p: int = 0):
 
 class _Reducers:
     """The reducer triples of one run, its words, its modulus (0 over Q), the
-    reduction work spent so far, and a cache of the reduction step for each
+    meter of its reduction work, and a cache of the reduction step for each
     lead.
 
     The cache is valid because a run's list only grows: the first divisor of
@@ -277,7 +267,9 @@ class _Reducers:
         self.triples = list(triples)
         self.words = words
         self.p = p
-        self.work = 0
+        self.meter = Meter(
+            "gb-work", MAX_REDUCTION_WORK, f"reduction work budget {MAX_REDUCTION_WORK} exceeded"
+        )
         self._steps: dict = {}
 
     def step(self, lm: int):
@@ -297,13 +289,6 @@ class _Reducers:
             self._steps[lm] = (len(triples), hit)
         return hit
 
-    def charge(self, terms: int) -> None:
-        self.work += terms
-        if self.work > MAX_REDUCTION_WORK:
-            raise ResourceBudgetExceeded(
-                "gb-work", f"reduction work budget {MAX_REDUCTION_WORK} exceeded"
-            )
-
 
 def _normal_form(fdict: dict, red: _Reducers) -> dict:
     """Full normal form of the word-keyed fdict against red.
@@ -315,7 +300,7 @@ def _normal_form(fdict: dict, red: _Reducers) -> dict:
     red.step.  Mod p a pending coefficient is reduced only when it surfaces
     as a lead.
     """
-    p = red.p
+    p, spend = red.p, red.meter.spend
     f = dict(fdict)
     heap = [-m for m in f]
     heapq.heapify(heap)
@@ -349,7 +334,7 @@ def _normal_form(fdict: dict, red: _Reducers) -> dict:
                     f[k] *= a
                 for k in rem:
                     rem[k] *= a
-                red.charge(len(f) + len(rem))
+                spend(len(f) + len(rem))
         # f -= b * (the shifted reducer), which cancels the lead
         for key, c in shifted:
             old = f.get(key)
@@ -363,8 +348,8 @@ def _normal_form(fdict: dict, red: _Reducers) -> dict:
                 else:
                     del f[key]
         f.pop(lm, None)  # mod p it may hold a nonzero multiple of p
-        red.charge(len(shifted))
-    return rem if p else _primitive(rem)
+        spend(len(shifted))
+    return rem if p else _primitive_terms(rem, None)
 
 
 def _spoly(f, g, L: int) -> dict:
@@ -405,7 +390,10 @@ def _interreduce(red: _Reducers) -> list:
     out = []
     for i, (_, _, terms) in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        reduced = _normal_form(terms, _Reducers(others, words)) if others else _primitive(terms)
+        if others:
+            reduced = _normal_form(terms, _Reducers(others, words))
+        else:
+            reduced = _primitive_terms(terms, None)
         if reduced:
             out.append(_reducer(reduced))
     out.sort()
@@ -447,13 +435,13 @@ class _Standard:
     generators (see the module docstring).
 
     At the lowest generator degree only their count is kept; the set is
-    built when the loop leaves that degree.  Each set is charged to the
-    run's reduction work before it is built.
+    built when the loop leaves that degree.  Each set's size is spent from
+    the run's reduction work before it is built.
     """
 
-    def __init__(self, leads: list, hilbert: list[int], red: _Reducers):
+    def __init__(self, leads: list, hilbert: list[int], meter: Meter):
         self.hilbert = hilbert
-        self.red = red
+        self.meter = meter
         self.leads = set(leads)
         self.nvars = len(leads[0])
         self.deg = min(map(sum, leads))
@@ -484,12 +472,12 @@ class _Standard:
             if self.count > self._h():
                 return False
             if self.monos is None:
-                self.red.charge(math.comb(self.deg + n - 1, n - 1))
+                self.meter.spend(math.comb(self.deg + n - 1, n - 1))
                 self.monos = {m for m in _degree_monomials(n, self.deg) if m not in leads}
             # M is standard iff it is no lead and every M / x_j is standard,
             # that is, iff as many standard monomials as M has variables
             # reach it by one multiplication
-            self.red.charge(n * len(self.monos))
+            self.meter.spend(n * len(self.monos))
             hits = Counter(s[:j] + (s[j] + 1,) + s[j + 1:] for s in self.monos for j in range(n))
             self.monos = {m for m, k in hits.items() if k == n - m.count(0) and m not in leads}
             self.deg += 1
@@ -537,16 +525,14 @@ def _complete(
         for j in range(i + 1, len(reducers)):
             push_pair(i, j)
 
-    std = None if hilbert is None else _Standard(leads, hilbert, red)
-    popped = 0
+    std = None if hilbert is None else _Standard(leads, hilbert, red.meter)
+    popped = Meter("gb-pairs", max_pairs, f"S-pair budget {max_pairs} exceeded")
     while pairs:
         if std is not None and not std.advance(pairs[0][0] >> top):
             return False
         L, i, j = heapq.heappop(pairs)
         handled.add((i, j))
-        popped += 1
-        if popped > max_pairs:
-            raise ResourceBudgetExceeded("gb-pairs", f"S-pair budget {max_pairs} exceeded")
+        popped.spend(1)
         if std is not None and std.filled():
             continue  # it reduces to zero
         # coprime-leads criterion: the lcm is the product
@@ -660,7 +646,7 @@ def _trivial_zero_only(gens: list[dict], nvars: int, max_pairs: int, p: int = 0)
     red = _Reducers((_reducer(words.pack_terms(d), p) for d in gens), words, p)
     hilbert = None
     if len(degrees) == nvars:
-        red.charge(sum(degrees) - nvars + 1)  # the length of the h-vector
+        red.meter.spend(sum(degrees) - nvars + 1)  # the length of the h-vector
         hilbert = _h_vector(degrees)
     return _complete(red, max_pairs, cap=sum(degrees[:nvars]) - nvars + 1, hilbert=hilbert)
 

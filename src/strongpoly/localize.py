@@ -12,17 +12,17 @@ Generators are kept as exponent vectors; polynomials are expanded only
 where the combination identity is checked: once when a reduction is built,
 and once when verify_principality audits it.  Each of those calls keeps its
 own table of prime powers, so every p_i^e and every product of powers is
-made once per call and none outlives it.  The table charges each product's
-term products against MAX_IDENTITY_TERM_PRODUCTS and raises
-ResourceBudgetExceeded past it (CLI exit 4).
+made once per call and none outlives it.  The table's products spend their
+term products from one meter per call, which raises ResourceBudgetExceeded
+past MAX_IDENTITY_TERM_PRODUCTS (CLI exit 4).
 """
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
-from .errors import Budgets, ResourceBudgetExceeded
+from .errors import Budgets, Meter
 from .factor import is_irreducible
-from .ring import LaurentPoly, Ring, ZZ, divides, monomial_substitute
+from .ring import LaurentPoly, Ring, ZZ, _power, divides, monomial_substitute
 from .strongcheck import check_strongly_coprime
 from .verdict import PROVED, Verdict, proved, refuted, undecided
 
@@ -37,7 +37,7 @@ MAX_UNIT_SHIFT = 8
 # instances of seeds 1 and 2 (18102).  The generators (80, 0), (0, 80) in two
 # variables spend 683838; (90, 0), (0, 90) pass the cap within a second.
 # It bounds these products only, not the call: the witnesses are checked by
-# dividing them by each prime, and those exact divisions are not charged.
+# dividing them by each prime, and those exact divisions are not counted.
 MAX_IDENTITY_TERM_PRODUCTS = 10**6
 
 
@@ -173,23 +173,19 @@ class _PowerTable:
     Only the powers p_i^e that the call asks for are kept, and each is made
     once: from the largest kept p_i^k with k <= e, times p_i^(e-k) by
     square-and-multiply.  Each exponent vector's product is made once too.
-    Every product made through mul is charged its term products against
-    MAX_IDENTITY_TERM_PRODUCTS before it is made.
+    Every product made through mul spends its term products from the
+    table's meter, of MAX_IDENTITY_TERM_PRODUCTS units, before it is made.
     """
 
     def __init__(self, primes):
         self.primes = primes
         self.powers = [{0: LaurentPoly.one(p.ring), 1: p} for p in primes]
         self.products = {}
-        self.spent = 0
+        message = f"the combination identity needs more than {MAX_IDENTITY_TERM_PRODUCTS} term products"
+        self.meter = Meter("localize", MAX_IDENTITY_TERM_PRODUCTS, message)
 
     def mul(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-        self.spent += f.num_terms() * g.num_terms()
-        if self.spent > MAX_IDENTITY_TERM_PRODUCTS:
-            raise ResourceBudgetExceeded(
-                "localize",
-                f"the combination identity needs more than {MAX_IDENTITY_TERM_PRODUCTS} term products",
-            )
+        self.meter.spend(f.num_terms() * g.num_terms())
         return f * g
 
     def power(self, i: int, e: int) -> LaurentPoly:
@@ -197,15 +193,7 @@ class _PowerTable:
         out = powers.get(e)
         if out is None:
             k = max(j for j in powers if j <= e)
-            out, base, d = powers[k], self.primes[i], e - k
-            while True:
-                if d & 1:
-                    out = self.mul(out, base)
-                d >>= 1
-                if not d:
-                    break
-                base = self.mul(base, base)
-            powers[e] = out
+            out = powers[e] = _power(powers[k], self.primes[i], e - k, self.mul)
         return out
 
     def product(self, exps) -> LaurentPoly:

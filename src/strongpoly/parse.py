@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ResourceBudgetExceeded
-from .ring import LaurentPoly, Ring, _add_shifted, _mul_terms
+from .ring import LaurentPoly, Ring, _add_shifted, _mul_terms, _power
 
 
 class ParseError(ValueError):
@@ -217,15 +217,7 @@ class _PolyParser:
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "^":
                 self.take()
-                e = self._int()
-                out = {(0,) * self.nvars: 1}
-                while e:
-                    if e & 1:
-                        out = self._mul(out, inner)
-                    e >>= 1
-                    if e:
-                        inner = self._mul(inner, inner)
-                return out
+                return _power({(0,) * self.nvars: 1}, inner, self._int(), self._mul)
             return inner
         raise ParseError("expected a coefficient, variable, or '('", t.line, t.col)
 

@@ -138,19 +138,31 @@ def _div_terms(f: dict, g: dict, domain: str = ZZ) -> dict | None:
     return out
 
 
-def _primitive_terms(d: dict) -> dict:
-    """Integer term dict over its content, with a positive grlex-leading
-    coefficient; d itself when there is nothing to divide out."""
+def _primitive_terms(d: dict, key=grlex_key) -> dict:
+    """Integer term dict over its content, with a positive coefficient on
+    the term whose monomial is largest by key (graded lex; None for keys
+    whose own order is graded lex); d itself when there is nothing to divide
+    out."""
     if not d:
         return d
-    g = 0
-    for c in d.values():
-        g = math.gcd(g, c)
-    if d[max(d, key=grlex_key)] < 0:
+    g = math.gcd(*d.values())
+    if d[max(d, key=key)] < 0:
         g = -g
     if g == 1:
         return d
     return {m: c // g for m, c in d.items()}
+
+
+def _power(acc, base, e: int, mul):
+    """acc * base^e for an int e >= 0, by square-and-multiply, each product
+    made by mul(x, y)."""
+    while e:
+        if e & 1:
+            acc = mul(acc, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return acc
 
 
 class LaurentPoly:
@@ -348,14 +360,7 @@ class LaurentPoly:
             (mono, c), = self._terms.items()
             coeff = (c if e % 2 else 1) if self.ring.domain == ZZ else Fraction(c) ** e
             return LaurentPoly(self.ring, {tuple(x * e for x in mono): coeff})
-        result = LaurentPoly.one(self.ring)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(LaurentPoly.one(self.ring), self, e, LaurentPoly.__mul__)
 
     def scale(self, c) -> "LaurentPoly":
         c = self.ring.coerce(c)

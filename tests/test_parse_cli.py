@@ -249,6 +249,13 @@ class TestExitCodes:
         assert proc.returncode in (0, 1, 2, 3, 4)
         assert "passes: 0/1" in proc.stdout
 
+    def test_genericity_past_the_monomial_bound_is_four(self):
+        # 1,282,401 monomials: listing them and building each trial's system
+        # took minutes and gigabytes before any reduction budget was checked
+        proc = run_cli("genericity", "--vars", "3", "--degree", "1600", "--trials", "1", timeout=10)
+        assert proc.returncode == 4
+        assert "1282401 monomials" in proc.stderr
+
     def test_ribbon_gate_counts_integer_content(self):
         # p and bar(p) share the factor 2, so the coprime gate stops the run
         proc = run_cli("verify-ribbon", "2*x1 + 4", "--vars", "1")

@@ -134,3 +134,22 @@ def test_no_cache_outlives_a_call():
                     if (path.name, target) not in MODULE_CONTAINERS:
                         found.append(f"{path.name}:{stmt.lineno} {target}")
     assert found == []
+
+
+def test_no_one_item_counters():
+    # a running total is an errors.Meter, not a one-item list passed down the
+    # call chain and decremented in place (x[0] -= units); the dense loops
+    # index with computed expressions and a report's counters with string
+    # keys, so only such lists match
+    found = []
+    for path in sorted(Path(strongpoly.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Subscript)
+            and isinstance(node.target.slice, ast.Constant)
+            and isinstance(node.target.slice.value, int)
+        ]
+    assert found == []
