@@ -46,10 +46,12 @@ MAX_NESTING = 100
 # about a second of CPython.  The test suite's largest is 16641, and
 # (1 + x1 + x2 + x3)^200 would need 2 * 10^9.
 MAX_TERM_PAIRS = 10**6
-# Largest coefficient a product may reach, in bits of its numerator or
-# denominator.  The test suite's largest is 296 bits, in (1 + x1)^300, the
-# benchmark's inputs need 4, and (3)^30000000 would need 47.5 * 10^6.
-MAX_COEFF_BITS = 10**5
+# Largest coefficient a product or a parsed polynomial may reach, in bits of
+# its numerator or denominator: half the 14,284 bits (4300 digits) that the
+# interpreter prints, so an input coefficient and a product of two can be
+# printed.  The tests' largest is 296 bits, in (1 + x1)^300; the benchmark's
+# inputs need 4.
+MAX_COEFF_BITS = 7_000
 # Most variables a polynomial, a matrix or a sample may have, and most
 # strands a braid may have.  Every exponent tuple is this wide, and strong
 # coprimality's image catalog grows with its square: with CPython 3.11 on a
@@ -58,6 +60,11 @@ MAX_COEFF_BITS = 10**5
 # takes 32 s and check-irred "x300000000 + 1" runs out of memory.  The tests
 # need 40.
 MAX_VARS = 100
+# Most crossings a braid word may expand to, one list entry each: s1^1000000
+# takes 12 ms and 15 MiB, s1^1000000000 would take 8 GB.  The Burau pass
+# spends two term reads or more a crossing, so it stops any word past half
+# of its 10^6 anyway.  The tests' longest word is s1^20000.
+MAX_BRAID_CROSSINGS = 10**6
 
 _TOKEN_RE = re.compile(r"\d+|x\d+|[+\-*/^()]|\S")
 
@@ -227,7 +234,8 @@ def parse_polynomial(text: str, nvars: int | None = None, laurent: bool = False)
 
     The variable count is the largest index mentioned unless nvars pads it
     higher.  Integer coefficients give a ZZ-domain polynomial; a fractional
-    coefficient switches the domain to QQ.
+    coefficient switches the domain to QQ.  Raises
+    ResourceBudgetExceeded("parse") past MAX_TERM_PAIRS or MAX_COEFF_BITS.
     """
     tokens = _tokenize(text)
     if tokens[0].kind == "END":
@@ -243,6 +251,8 @@ def parse_polynomial(text: str, nvars: int | None = None, laurent: bool = False)
         raise ParseError(f"unexpected {end.text!r}", end.line, end.col)
     if nvars is not None and nvars < mentioned:
         raise ValueError(f"polynomial mentions x{mentioned} but only {nvars} variables allowed")
+    if (bits := _coeff_bits(terms)) > MAX_COEFF_BITS:
+        raise ResourceBudgetExceeded("parse", f"a {bits}-bit coefficient is over {MAX_COEFF_BITS}")
     rational = any(isinstance(c, Fraction) and c.denominator != 1 for c in terms.values())
     ring = Ring(n, laurent=laurent, domain="QQ" if rational else "ZZ")
     return LaurentPoly(ring, terms if rational else {m: int(c) for m, c in terms.items()})
@@ -254,7 +264,9 @@ _BRAID_RE = re.compile(r"s(\d+)(?:\^(-?\d+))?$")
 def parse_braid(text: str) -> list[int]:
     """Braid words: whitespace-separated crossings `s1 s2^-1 s1^3`.
 
-    Returns signed 1-based crossing indices with powers expanded.
+    Returns signed 1-based crossing indices with powers expanded.  Raises
+    ResourceBudgetExceeded("parse") before expanding past
+    MAX_BRAID_CROSSINGS crossings.
     """
     word: list[int] = []
     col = 1
@@ -267,6 +279,10 @@ def parse_braid(text: str) -> list[int]:
         if idx < 1:
             raise ParseError("crossings are numbered from s1", 1, col)
         power = int(m.group(2)) if m.group(2) else 1
+        if len(word) + abs(power) > MAX_BRAID_CROSSINGS:
+            raise ResourceBudgetExceeded(
+                "parse", f"the braid word has over {MAX_BRAID_CROSSINGS} crossings"
+            )
         letter = idx if power >= 0 else -idx
         word.extend([letter] * abs(power))
         col += len(chunk)

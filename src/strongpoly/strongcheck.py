@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from . import verdict
 from .errors import Budgets, ResourceBudgetExceeded
 from .factor import _IMAGE_MEMO, is_irreducible, poly_gcd
-from .groebner import IdealBasis, only_trivial_solution
+from .groebner import IdealBasis, _degree_monomials, only_trivial_solution
 from .ring import (
     ZZ,
     HomogPoly,
@@ -438,10 +438,7 @@ def genericity_sample(
         )
     ring = Ring(n_vars)
     # every exponent vector of total degree `degree`, in lexicographic order
-    monos = sorted(
-        tuple(c.count(v) for v in range(n_vars))
-        for c in itertools.combinations_with_replacement(range(n_vars), degree)
-    )
+    monos = sorted(_degree_monomials(n_vars, degree))
     passes = 0
     for i in range(trials):
         rng = random.Random(rng_seed * 1000003 + i)

@@ -55,8 +55,8 @@ CASES = [
      "reduction work budget {} exceeded"),
     (localize_input, localize, "MAX_IDENTITY_TERM_PRODUCTS", 80, "localize",
      "the combination identity needs more than {} term products"),
-    (braid_input, alexander, "MAX_BRAID_LETTERS", 1742, "braid-words",
-     "braid action rewrote more than {} letters"),
+    (braid_input, alexander, "MAX_BURAU_TERM_READS", 1425, "braid-words",
+     "the colored Burau pass needs over {} term reads"),
     (recombination_input, factor, "MAX_KRON_TRIALS", 2, "factor-trials",
      "recombination budget exceeded"),
     (rho_input, factor, "MAX_RHO_STEPS", 380, "int-factor",

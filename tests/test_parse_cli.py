@@ -102,6 +102,15 @@ class TestPolynomialGrammar:
         with pytest.raises(ResourceBudgetExceeded):
             parse_polynomial("(1+x1+x2+x3)^200")
 
+    def test_coefficient_past_the_bit_cap_is_budgeted(self):
+        # (2)^20000 has 6021 digits, past what the interpreter prints; a lone
+        # literal makes no product, so the parsed result is checked too
+        assert parse_polynomial(str(2**6999)).term_dict() == {(): 2**6999}
+        for text in (str(2**7000), f"{2**6999} + {2**6999}", "(2)^20000*x1 + 1"):
+            with pytest.raises(ResourceBudgetExceeded) as info:
+                parse_polynomial(text)
+            assert info.value.kind == "parse"
+
     @given(nonzero_poly_st(nvars=2, laurent=True, max_exp=3))
     @settings(max_examples=50, deadline=None)
     def test_round_trip(self, p):
@@ -119,6 +128,15 @@ class TestBraidAndPairs:
         assert parse_braid("s1^-1 s2") == [-1, 2]
         assert parse_braid("s2^3") == [2, 2, 2]
         assert parse_braid("s1^0") == []
+
+    def test_huge_braid_power_is_budgeted_before_expansion(self):
+        start = time.perf_counter()
+        for text in ("s1^1000000000", "s1^-1000000000", "s1^600000 s2^-400001"):
+            with pytest.raises(ResourceBudgetExceeded) as info:
+                parse_braid(text)
+            assert info.value.kind == "parse"
+        assert time.perf_counter() - start < 1
+        assert len(parse_braid("s1^600000 s2^-400000")) == 10**6
 
     def test_braid_errors(self):
         for bad in ("t1", "s0", "s-1", "s1^", "1"):
@@ -402,12 +420,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == "resource budget exceeded: recombination budget exceeded\n"
 
     def test_long_braid_word_is_four(self):
-        # the braid action's work is quadratic in the word length; this one
-        # used to run past 120 s
+        # the Burau pass's entries grow with the word, so its work is
+        # quadratic in the word length; this one used to run past 120 s
         start = time.perf_counter()
         proc = run_cli("torsion-alex", "--braid", "s1^20000", "--strands", "2", timeout=30)
         assert proc.returncode == 4
-        assert "braid action rewrote more than" in proc.stderr
+        assert "the colored Burau pass needs over" in proc.stderr
         assert time.perf_counter() - start < 10
 
     def test_huge_ideal_exponents_are_four(self):

@@ -1,6 +1,7 @@
 """Source-level rules for the strongpoly package."""
 
 import ast
+import re
 from pathlib import Path
 
 import strongpoly
@@ -153,3 +154,17 @@ def test_no_one_item_counters():
             and isinstance(node.target.slice.value, int)
         ]
     assert found == []
+
+
+def test_every_cap_is_documented():
+    # each module-level MAX_* constant is a budget or a cap on input, so the
+    # README names it where a user looks up why a run exited 3 or 4
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = []
+    for path in sorted(Path(strongpoly.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            for name in _defined_names(stmt):
+                if name.startswith("MAX_") and not re.search(rf"\b{name}\b", readme):
+                    missing.append(f"{path.name}:{stmt.lineno} {name}")
+    assert missing == []
