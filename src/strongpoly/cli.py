@@ -20,7 +20,7 @@ from .factor import is_irreducible
 from .groebner import IdealBasis
 from .parse import (
     MAX_VARS,
-    ParseError,
+    json_int,
     parse_braid,
     parse_exponent_pairs,
     parse_matrix_json,
@@ -39,10 +39,10 @@ from .verdict import PROVED, REFUTED, UNDECIDED, Verdict
 _EXIT_FOR_STATUS = {PROVED: 0, REFUTED: 1, UNDECIDED: 2}
 
 
-def _encode(obj, prefix: str = "x"):
+def _encode(obj):
     """Recursively turn library objects into JSON-friendly values."""
     if isinstance(obj, LaurentPoly):
-        return obj.to_text(prefix)
+        return obj.to_text()
     if isinstance(obj, Verdict):
         out = {"status": obj.status}
         if obj.rule:
@@ -50,29 +50,29 @@ def _encode(obj, prefix: str = "x"):
         if obj.reason:
             out["reason"] = obj.reason
         if obj.witness is not None:
-            out["witness"] = _encode(obj.witness, prefix)
+            out["witness"] = _encode(obj.witness)
         if obj.details:
-            out["details"] = _encode(obj.details, prefix)
+            out["details"] = _encode(obj.details)
         return out
     if isinstance(obj, dict):
-        return {str(k): _encode(v, prefix) for k, v in obj.items()}
+        return {str(k): _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_encode(v, prefix) for v in obj]
+        return [_encode(v) for v in obj]
     if isinstance(obj, Fraction):
         return str(obj)
     return obj
 
 
-def _verdict_lines(v: Verdict, prefix: str = "x") -> list[str]:
+def _verdict_lines(v: Verdict) -> list[str]:
     lines = [f"status: {v.status}"]
     if v.rule:
         lines.append(f"rule: {v.rule}")
     if v.reason:
         lines.append(f"reason: {v.reason}")
     if v.witness is not None:
-        lines.append("witness: " + json.dumps(_encode(v.witness, prefix), sort_keys=True))
+        lines.append("witness: " + json.dumps(_encode(v.witness), sort_keys=True))
     if v.details:
-        lines.append("details: " + json.dumps(_encode(v.details, prefix), sort_keys=True))
+        lines.append("details: " + json.dumps(_encode(v.details), sort_keys=True))
     return lines
 
 
@@ -171,7 +171,7 @@ def _cmd_elementary_ideal(args):
 def _cmd_divisorial_hull(args):
     data = _read_stdin_json()
     try:
-        n = int(data["vars"])
+        n = json_int(data["vars"])
         texts = data["generators"]
     except (KeyError, TypeError, ValueError):
         texts = None
@@ -476,9 +476,6 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         status, result, lines, code = args.handler(args)
-    except ParseError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 3
     except ValueError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 3

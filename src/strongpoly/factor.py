@@ -738,38 +738,32 @@ def _primitive_in(d: dict, v: int, meter: Meter) -> dict:
 
 
 def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """gcd in the ambient ring, canonical representative.
+    """gcd in the ambient ring, canonical representative: the gcd of the two
+    integer contents times the gcd of the two primitive parts, with a
+    positive graded-lex leading coefficient.
 
     Over a Laurent ring, monomials are units, so they are stripped first
     and the result carries no monomial factor.  Over an ordinary ring the
-    gcd keeps monomial factors.  Integer content is dropped either way:
-    the result is primitive, a gcd up to integer factors, which
-    divisorial_hull relies on.  Callers that need the shared integer
-    content multiply the result's primitive part by the gcd of the two
-    contents, or check that gcd, as coprime() does.  The one exception is
-    two constants (after the monomials are stripped, over a Laurent ring):
-    their gcd is their nonnegative integer gcd, so poly_gcd(4, 6) is 2.
+    gcd keeps monomial factors: poly_gcd(4*x1, 6*x1) is 2*x1 over Z[x1]
+    and 2 over Z[x1^+-1].
     """
     if p.ring != q.ring:
         raise ValueError("ring mismatch")
     _require_zz(p)
-    if p.is_zero() and q.is_zero():
-        return LaurentPoly.zero(p.ring)
-    def norm(h):
+    def primitive(h):
         if h.is_zero():
             return {}
         if p.ring.laurent:
-            hq, _ = laurent_normalize(h)
-            return hq.term_dict()
-        return h.term_dict()
-    d = _dict_gcd(norm(p), norm(q), _gcd_meter())
-    return LaurentPoly(p.ring, d)
+            h, _ = laurent_normalize(h)
+        return _primitive_terms(h.term_dict())
+    content = math.gcd(p.content(), q.content())
+    d = _dict_gcd(primitive(p), primitive(q), _gcd_meter())
+    return LaurentPoly(p.ring, {m: c * content for m, c in d.items()})
 
 
 def coprime(p: LaurentPoly, q: LaurentPoly) -> bool:
-    """True iff gcd(p, q) is a unit of the ambient ring: poly_gcd is taken
-    up to integer factors, so the two contents must be coprime too."""
-    return poly_gcd(p, q).is_unit() and math.gcd(p.content(), q.content()) == 1
+    """True iff gcd(p, q) is a unit of the ambient ring."""
+    return poly_gcd(p, q).is_unit()
 
 
 # -- multivariate irreducibility ------------------------------------------

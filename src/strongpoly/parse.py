@@ -90,11 +90,9 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _coeff_bits(terms: dict) -> int:
-    return max(
-        (max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in terms.values()),
-        default=0,
-    )
+def _height(terms: dict) -> int:
+    """Largest numerator or denominator magnitude of the coefficients."""
+    return max((max(abs(c.numerator), c.denominator) for c in terms.values()), default=0)
 
 
 class _PolyParser:
@@ -161,8 +159,9 @@ class _PolyParser:
                 "parse", f"a {len(a)} by {len(b)} term product is over {MAX_TERM_PAIRS} term pairs"
             )
         # a coefficient of the product sums at most min(len(a), len(b))
-        # products of one coefficient from each side
-        bits = _coeff_bits(a) + _coeff_bits(b) + min(len(a), len(b)).bit_length()
+        # products of one coefficient from each side: a true bound for
+        # integer sides, and the parsed result is checked exactly
+        bits = (min(len(a), len(b)) * _height(a) * _height(b)).bit_length()
         if bits > MAX_COEFF_BITS:
             raise ResourceBudgetExceeded(
                 "parse", f"a product's coefficients could reach {bits} bits, over {MAX_COEFF_BITS}"
@@ -251,7 +250,7 @@ def parse_polynomial(text: str, nvars: int | None = None, laurent: bool = False)
         raise ParseError(f"unexpected {end.text!r}", end.line, end.col)
     if nvars is not None and nvars < mentioned:
         raise ValueError(f"polynomial mentions x{mentioned} but only {nvars} variables allowed")
-    if (bits := _coeff_bits(terms)) > MAX_COEFF_BITS:
+    if (bits := _height(terms).bit_length()) > MAX_COEFF_BITS:
         raise ResourceBudgetExceeded("parse", f"a {bits}-bit coefficient is over {MAX_COEFF_BITS}")
     rational = any(isinstance(c, Fraction) and c.denominator != 1 for c in terms.values())
     ring = Ring(n, laurent=laurent, domain="QQ" if rational else "ZZ")
@@ -306,6 +305,15 @@ def parse_exponent_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def json_int(value) -> int:
+    """value if it is a JSON integer, an int that is not a bool; otherwise
+    ValueError, where int() would truncate 1.9, read true as 1 or overflow
+    on 1e400."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError("not a JSON integer")
+
+
 def parse_matrix_json(data: dict):
     """Presentation matrices as {"vars": n, "matrix": [[entry, ...], ...]}.
 
@@ -317,7 +325,7 @@ def parse_matrix_json(data: dict):
     if not isinstance(data, dict):
         raise ValueError("matrix input must be a JSON object")
     try:
-        nvars = int(data["vars"])
+        nvars = json_int(data["vars"])
         matrix = data["matrix"]
     except (KeyError, TypeError, ValueError):
         raise ValueError('matrix input needs integer "vars" and a "matrix" array') from None
@@ -337,7 +345,7 @@ def parse_matrix_json(data: dict):
         if "cols" not in data:
             raise ValueError('an empty matrix needs a "cols" count')
         try:
-            ncols = int(data["cols"])
-        except (TypeError, ValueError):
+            ncols = json_int(data["cols"])
+        except ValueError:
             raise ValueError('"cols" must be an integer') from None
     return ModulePresentation(ring, tuple(rows), ncols)

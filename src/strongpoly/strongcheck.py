@@ -327,7 +327,7 @@ def check_strongly_coprime(p: LaurentPoly, q: LaurentPoly, budgets: Budgets = Bu
         uf = set(first.used_vars())
         us = set(second.used_vars())
         # a Laurent unit has no irreducibility status to certify
-        if len(us) < len(uf) and (uf - us) and not first.to_laurent().is_unit():
+        if len(us) < len(uf) and not first.to_laurent().is_unit():
             sub = check_strongly_irreducible(first, budgets)
             if sub.is_proved:
                 return verdict.proved(
@@ -340,18 +340,13 @@ def check_strongly_coprime(p: LaurentPoly, q: LaurentPoly, budgets: Budgets = Bu
 
     m = p.ring.nvars
     catalog = _image_catalog(m, m)
-    pairs_tried = 0
-    for img_p, img_q in itertools.product(catalog, repeat=2):
-        pairs_tried += 1
-        ev_p = monomial_substitute(p, img_p, m)
-        ev_q = monomial_substitute(q, img_q, m)
-        if ev_p.is_zero() or ev_q.is_zero():
-            continue
-        # the evaluations' shared integer content goes in exactly once, since
-        # a common integer factor is never a unit: poly_gcd is primitive
-        # except for two constants, where it is already their integer gcd
-        content = math.gcd(ev_p.content(), ev_q.content())
-        g = poly_gcd(ev_p.to_laurent(), ev_q.to_laurent()).primitive_part().scale(content)
+    # the images in a tuple are linearly independent, so distinct terms stay
+    # distinct and no evaluation of a nonzero side is zero
+    evs_p = [monomial_substitute(p, img, m).to_laurent() for img in catalog]
+    evs_q = [monomial_substitute(q, img, m).to_laurent() for img in catalog]
+    pairs = itertools.product(zip(catalog, evs_p), zip(catalog, evs_q))
+    for pairs_tried, ((img_p, ev_p), (img_q, ev_q)) in enumerate(pairs, 1):
+        g = poly_gcd(ev_p, ev_q)
         if not g.is_unit():
             return verdict.refuted(
                 {
@@ -362,7 +357,7 @@ def check_strongly_coprime(p: LaurentPoly, q: LaurentPoly, budgets: Budgets = Bu
                 pairs_tried=pairs_tried,
                 **notes,
             )
-    return verdict.undecided("coprimality-search-exhausted", pairs_tried=pairs_tried, **notes)
+    return verdict.undecided("coprimality-search-exhausted", pairs_tried=len(catalog) ** 2, **notes)
 
 
 def check_vector_coprime(P: PolyVector, Q: PolyVector, budgets: Budgets = Budgets()) -> Verdict:

@@ -366,9 +366,9 @@ class TestGcd:
     def test_two_constants_give_their_integer_gcd(self):
         assert poly_gcd(mk(2, {(0, 0): 4}), mk(2, {(0, 0): -6})).to_text() == "2"
         assert not coprime(mk(2, {(0, 0): 4}), mk(2, {(0, 0): 6}))
-        # a one-term side that is not constant gives a primitive gcd
-        assert poly_gcd(mk(2, {(1, 0): 4}), mk(2, {(1, 0): 6})).to_text() == "x1"
-        assert poly_gcd(mk(2, {(0, 0): 4}), mk(2, {(1, 0): 6})).to_text() == "1"
+        # a one-term side that is not constant keeps the shared content too
+        assert poly_gcd(mk(2, {(1, 0): 4}), mk(2, {(1, 0): 6})).to_text() == "2*x1"
+        assert poly_gcd(mk(2, {(0, 0): 4}), mk(2, {(1, 0): 6})).to_text() == "2"
 
     @given(
         nonzero_poly_st(nvars=3, max_exp=3, max_terms=1, max_coeff=12),
@@ -400,3 +400,11 @@ class TestGcd:
         g = poly_gcd(p, q)
         assert divides(g, p) and divides(g, q)
         assert not coprime(p * q, q) or q.total_degree() == 0
+        # the whole gcd over ZZ, integer content included, up to sign
+        xs = sympy.symbols("x1 x2")
+
+        def to_sympy(h):
+            return sympy.Poly(sympy.sympify(h.to_text().replace("^", "**")), *xs, domain="ZZ")
+
+        expected = sympy.gcd(to_sympy(p), to_sympy(q))
+        assert to_sympy(g) in (expected, -expected)

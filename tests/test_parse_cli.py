@@ -106,7 +106,10 @@ class TestPolynomialGrammar:
         # (2)^20000 has 6021 digits, past what the interpreter prints; a lone
         # literal makes no product, so the parsed result is checked too
         assert parse_polynomial(str(2**6999)).term_dict() == {(): 2**6999}
-        for text in (str(2**7000), f"{2**6999} + {2**6999}", "(2)^20000*x1 + 1"):
+        # a product is bounded by its terms times the two sides' heights,
+        # which is exact for a one-term side
+        assert parse_polynomial("(2)^6999*x1").term_dict() == {(1,): 2**6999}
+        for text in (str(2**7000), f"{2**6999} + {2**6999}", "(2)^20000*x1 + 1", "(2)^7000*x1"):
             with pytest.raises(ResourceBudgetExceeded) as info:
                 parse_polynomial(text)
             assert info.value.kind == "parse"
@@ -405,6 +408,14 @@ class TestExitCodes:
             (["divisorial-hull", "--stdin"], {"vars": [], "generators": ["x1"]}),
             (["divisorial-hull", "--stdin"], {"vars": 2, "generators": 5}),
             (["elementary-ideal", "--k", "0", "--stdin"], {"vars": 2, "matrix": [], "cols": None}),
+            # 1e400 is infinity, which int() cannot convert: these exited 5
+            (["torsion-alex", "--stdin"], {"vars": 1e400, "matrix": [["x1 - 1"]]}),
+            (["elementary-ideal", "--k", "0", "--stdin"], {"vars": 1e400, "matrix": [["x1"]]}),
+            (["divisorial-hull", "--stdin"], {"vars": 1e400, "generators": ["x1"]}),
+            (["torsion-alex", "--stdin"], {"vars": 2, "matrix": [], "cols": 1e400}),
+            # int() read these as 1 and answered
+            (["torsion-alex", "--stdin"], {"vars": 1.9, "matrix": [["x1 - 1"]]}),
+            (["divisorial-hull", "--stdin"], {"vars": True, "generators": ["x1"]}),
         ],
     )
     def test_malformed_stdin_json_is_three(self, argv, data, monkeypatch, capsys):

@@ -58,6 +58,30 @@ def test_unchecked_constructor_stays_in_ring():
     assert found == []
 
 
+def test_content_gcd_stays_in_poly_gcd():
+    # poly_gcd returns the gcd with the shared integer content, so only it
+    # takes a gcd of .content() results; a caller that patches content back
+    # in splits one decision over two places
+    found = []
+    for path in sorted(Path(strongpoly.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and "gcd" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    and any(
+                        isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "content"
+                        for arg in node.args
+                    )
+                ):
+                    found.append((path.name, getattr(top, "name", None), node.lineno))
+    outside = [f"{name}:{line}" for name, top, line in found
+               if (name, top) != ("factor.py", "poly_gcd")]
+    assert outside == []
+    assert found
+
+
 def _defined_names(stmt):
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [stmt.name]
