@@ -40,7 +40,6 @@ from .families import (
 from .groebner import (
     IdealBasis,
     buchberger,
-    laurent_member,
     only_trivial_solution,
     radical_member,
 )
@@ -60,7 +59,6 @@ from .ring import (
     HomogPoly,
     LaurentPoly,
     Ring,
-    dehomogenize,
     divides,
     exact_divide,
     grlex_key,
@@ -119,7 +117,6 @@ __all__ = [
     "check_vector_coprime",
     "coprime",
     "criterion_system",
-    "dehomogenize",
     "divides",
     "divisor_set_member",
     "divisorial_hull",
@@ -134,7 +131,6 @@ __all__ = [
     "grlex_key",
     "homogenize",
     "is_irreducible",
-    "laurent_member",
     "laurent_normalize",
     "monomial_substitute",
     "only_trivial_solution",

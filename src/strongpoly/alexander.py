@@ -74,19 +74,6 @@ class ModulePresentation:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def from_rows(cls, rows, ring: Ring | None = None, ncols: int | None = None):
-        rows = tuple(tuple(r) for r in rows)
-        if ring is None:
-            if not rows or not rows[0]:
-                raise ValueError("cannot infer the ring from an empty matrix")
-            ring = rows[0][0].ring
-        if ncols is None:
-            if not rows:
-                raise ValueError("an empty matrix needs an explicit column count")
-            ncols = len(rows[0])
-        return cls(ring, rows, ncols)
-
 
 def _minor_meter() -> Meter:
     return Meter("minors", MAX_MINOR_WORK, f"minors need over {MAX_MINOR_WORK} work units")

@@ -59,12 +59,6 @@ class Factorization:
     unit: int
     factors: tuple[tuple[LaurentPoly, int], ...]
 
-    def expand(self, ring: Ring) -> LaurentPoly:
-        out = LaurentPoly.constant(ring, self.unit)
-        for f, m in self.factors:
-            out = out * f ** m
-        return out
-
 
 # -- dense univariate integer polynomials (ascending coefficients) -----
 

@@ -65,16 +65,6 @@ class FamilySpec:
     def nvars(self) -> int:
         return len(self.k)
 
-    def to_json_dict(self) -> dict:
-        return {"family": self.family, "k": list(self.k)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FamilySpec":
-        try:
-            return cls(data["family"], tuple(data["k"]))
-        except KeyError as exc:
-            raise ValueError(f"family spec missing key {exc}") from exc
-
 
 def build_family_poly(spec: FamilySpec) -> LaurentPoly:
     """The family member as a Laurent polynomial in len(k) variables."""

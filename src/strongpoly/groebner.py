@@ -47,9 +47,12 @@ full reduced basis, each of them sound:
   every monomial of some degree D, so the degree-D Macaulay matrix (the
   monomial multiples of the integer generators, as rows) has full column
   rank mod p; its rank over Q is at least its rank mod p, so I over Q
-  contains every monomial of degree D too.  A False answer mod
-  p, or an exhausted budget there, says nothing about Q, so the exact run
-  alone decides False and budget exhaustion.
+  contains every monomial of degree D too.  A False answer mod p says
+  nothing about Q, so the exact run alone decides False.  An exhausted
+  budget mod p is reported as it is, and the exact run is not started:
+  with a prime that moves no lead, the exact run pops the same pairs and
+  spends at least as much work, so it would exhaust too, and an exhaustion
+  only ever gives UNDECIDED, never a wrong answer.
 
 With exactly n generators, of degrees d_1, ..., d_n, the pair loop is also
 driven by the Hilbert function of a complete intersection (C. Traverso,
@@ -87,7 +90,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Budgets, Meter, ResourceBudgetExceeded
@@ -97,7 +100,6 @@ from .ring import (
     Ring,
     _embed_vars,
     _primitive_terms,
-    laurent_normalize,
 )
 
 
@@ -142,17 +144,10 @@ class IdealBasis:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis: monic over Q, pairwise tail-reduced, sorted.
-
-    The reducer triples keep the integer basis in packed words, for
-    normal_form."""
+    """Reduced Groebner basis: monic over Q, pairwise tail-reduced, sorted."""
 
     ring: Ring
     polys: tuple[LaurentPoly, ...]
-    _reducers: tuple = field(default=(), compare=False, repr=False)
-
-    def reducers(self):
-        return self._reducers
 
     def is_unit_ideal(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].is_constant()
@@ -208,9 +203,6 @@ class _Words:
 
     def pack_terms(self, d: dict) -> dict:
         return {self.pack(m): c for m, c in d.items()}
-
-    def unpack_terms(self, d: dict) -> dict:
-        return {self.unpack(w): c for w, c in d.items()}
 
     def divides(self, a: int, b: int) -> bool:
         """Whether the monomial a divides b: no field of b - a borrows."""
@@ -584,7 +576,7 @@ def buchberger(I: IdealBasis, budgets: Budgets = Budgets()) -> GroebnerBasis:
         words,
     )
     if not red.triples:
-        return GroebnerBasis(ring, (), _reducers=())
+        return GroebnerBasis(ring, ())
     _complete(red, budgets.max_pairs)
     reduced = tuple(_interreduce(red))
     polys = tuple(
@@ -596,22 +588,7 @@ def buchberger(I: IdealBasis, budgets: Budgets = Budgets()) -> GroebnerBasis:
     for g in I.generators:
         if _normal_form(words.pack_terms(_to_int_dict(g)), check):
             raise AssertionError("input generator does not reduce to zero")
-    return GroebnerBasis(ring, polys, _reducers=reduced)
-
-
-def normal_form(f: LaurentPoly, G: GroebnerBasis) -> LaurentPoly:
-    """Primitive integer normal form of f against the reduced basis."""
-    if f.ring.laurent:
-        raise ValueError("normal form expects an ordinary polynomial")
-    if f.ring.nvars != G.ring.nvars:
-        raise ValueError("variable count mismatch")
-    words = _Words(G.ring.nvars)
-    rem = _normal_form(words.pack_terms(_to_int_dict(f)), _Reducers(G.reducers(), words))
-    return LaurentPoly(G.ring, {m: Fraction(c) for m, c in words.unpack_terms(rem).items()})
-
-
-def ideal_member(f: LaurentPoly, G: GroebnerBasis) -> bool:
-    return normal_form(f, G).is_zero()
+    return GroebnerBasis(ring, polys)
 
 
 def radical_member(f: LaurentPoly, I: IdealBasis) -> bool:
@@ -671,8 +648,11 @@ def only_trivial_solution(I: IdealBasis, budgets: Budgets = Budgets()) -> bool:
     Hilbert function h, so a complete degree with more standard monomials
     than h_d gives False.  The first run is mod PRIME; a True
     answer there is final, because the degree-D Macaulay matrix's rank mod
-    p is at most its rank over Q.  Otherwise, or when that run exhausts a
-    budget, the exact run over Q decides.  The tests check the answer
+    p is at most its rank over Q.  After a False answer there the exact run
+    over Q decides.  When the modular run exhausts a budget, that
+    ResourceBudgetExceeded propagates and no exact run starts: with a prime
+    that moves no lead the exact run pops the same pairs and spends at
+    least as much work.  The tests check the answer
     against radical_member, which asks whether every variable lies in the
     radical of I.
     """
@@ -683,39 +663,7 @@ def only_trivial_solution(I: IdealBasis, budgets: Budgets = Budgets()) -> bool:
     if n == 0:
         return True
     gens = [_to_int_dict(g) for g in I.generators]
-    try:
-        if _trivial_zero_only(gens, n, budgets.max_pairs, PRIME):
-            return True
-    except ResourceBudgetExceeded:
-        pass
-    return _trivial_zero_only(gens, n, budgets.max_pairs)
-
-
-def laurent_member(f: LaurentPoly, gens: list[LaurentPoly]) -> bool:
-    """Membership of f in the Laurent ideal generated by gens, over Q.
-
-    Reduces to ordinary membership saturated at the product of variables:
-    with one auxiliary variable u, f lies in the Laurent ideal iff f lies
-    in <normalized gens, 1 - u*x1*...*xn> as an ordinary ideal.
-    """
-    if f.is_zero():
+    if _trivial_zero_only(gens, n, budgets.max_pairs, PRIME):
         return True
-    n = f.ring.nvars
-    fq, _ = laurent_normalize(f)
-    norm_gens = []
-    for g in gens:
-        if g.ring.nvars != n:
-            raise ValueError("variable count mismatch")
-        if g.is_zero():
-            continue
-        gq, _ = laurent_normalize(g)
-        norm_gens.append(gq)
-    if not norm_gens:
-        return False
-    ext = Ring(n + 1, False, QQ)
-    ideal_gens = [_embed_vars(g, range(n), n + 1).to_domain(QQ) for g in norm_gens]
-    sat = {(0,) * (n + 1): 1, (1,) * (n + 1): -1}
-    ideal_gens.append(LaurentPoly(ext, sat))
-    G = buchberger(IdealBasis(ext, tuple(ideal_gens)))
-    return ideal_member(_embed_vars(fq, range(n), n + 1).to_domain(QQ), G)
+    return _trivial_zero_only(gens, n, budgets.max_pairs)
 

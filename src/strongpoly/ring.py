@@ -355,11 +355,7 @@ class LaurentPoly:
         if not isinstance(e, int):
             raise TypeError("exponent must be an int")
         if e < 0:
-            if not (self.ring.laurent and self.is_unit()):
-                raise ValueError("negative power requires a Laurent unit")
-            (mono, c), = self._terms.items()
-            coeff = (c if e % 2 else 1) if self.ring.domain == ZZ else Fraction(c) ** e
-            return LaurentPoly(self.ring, {tuple(x * e for x in mono): coeff})
+            raise ValueError(f"negative exponent {e}")
         return _power(LaurentPoly.one(self.ring), self, e, LaurentPoly.__mul__)
 
     def scale(self, c) -> "LaurentPoly":
@@ -406,22 +402,6 @@ class LaurentPoly:
             ring = ring.laurent_version()
         return LaurentPoly(ring, out)
 
-    def derivative(self, i: int) -> "LaurentPoly":
-        out: dict = {}
-        for m, c in self._terms.items():
-            e = m[i]
-            if e == 0:
-                continue
-            d = list(m)
-            d[i] = e - 1
-            nm = tuple(d)
-            s = out.get(nm, 0) + c * e
-            if s:
-                out[nm] = s
-            else:
-                out.pop(nm, None)
-        return LaurentPoly(self.ring, out)
-
     def content(self) -> int:
         """gcd of integer coefficients (ZZ domain), 0 for the zero poly."""
         if self.ring.domain != ZZ:
@@ -459,17 +439,13 @@ class LaurentPoly:
             return self
         return LaurentPoly(self.ring.ordinary_version(), self._terms)
 
-    def exact_divide(self, other: "LaurentPoly") -> "LaurentPoly | None":
-        """Return self / other when the division is exact, else None."""
-        return exact_divide(self, other)
-
     # -- text form -------------------------------------------------------
 
     def to_text(self, var_prefix: str = "x") -> str:
         """Canonical text: descending graded-lex terms, '^' powers, '*' products.
 
-        var_prefix 'x' names variables x1..xn, 'z' names them z0..zn,
-        't' names them t (single variable) or t1..tn.
+        var_prefix 'x' names variables x1..xn, 't' names them t (single
+        variable) or t1..tn.
         """
         if not self._terms:
             return "0"
@@ -502,8 +478,6 @@ class LaurentPoly:
 
 
 def _var_name(prefix: str, i: int, nvars: int) -> str:
-    if prefix == "z":
-        return f"z{i}"
     if prefix == "t":
         return "t" if nvars == 1 else f"t{i + 1}"
     return f"{prefix}{i + 1}"
@@ -529,9 +503,6 @@ class HomogPoly:
     def ring(self) -> Ring:
         return self.inner.ring
 
-    def to_text(self) -> str:
-        return self.inner.to_text(var_prefix="z")
-
 
 def homogenize(p: LaurentPoly) -> HomogPoly:
     """Homogeneous counterpart in n+1 variables, z0 the added variable.
@@ -550,20 +521,6 @@ def homogenize(p: LaurentPoly) -> HomogPoly:
     for m, c in p.term_dict().items():
         out[(d - sum(m),) + m] = c
     return HomogPoly(LaurentPoly(ring, out), d)
-
-
-def dehomogenize(P: HomogPoly) -> LaurentPoly:
-    """Set z0 = 1 and drop it, inverse to homogenize on its image."""
-    ring = Ring(P.ring.nvars - 1, False, P.ring.domain)
-    out: dict = {}
-    for m, c in P.inner.term_dict().items():
-        key = m[1:]
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return LaurentPoly(ring, out)
 
 
 def power_substitute(p: LaurentPoly, t: Iterable[int]) -> LaurentPoly:

@@ -104,15 +104,15 @@ def criterion_system(P: HomogPoly) -> IdealBasis:
     """
     if P.total_degree == 0:
         raise ValueError("criterion needs a nonconstant homogeneous polynomial")
-    inner = P.inner
+    ring = P.inner.ring
+    terms = P.inner.term_dict().items()
     gens = []
-    for i in range(inner.ring.nvars):
-        g = inner.derivative(i).mul_monomial(
-            tuple(1 if j == i else 0 for j in range(inner.ring.nvars))
-        )
-        if not g.is_zero():
-            gens.append(g)
-    return IdealBasis.from_polys(gens, inner.ring)
+    for i in range(ring.nvars):
+        # the Euler operator z_i * d/dz_i scales each term by its exponent
+        g = {m: c * m[i] for m, c in terms if m[i]}
+        if g:
+            gens.append(LaurentPoly(ring, g))
+    return IdealBasis.from_polys(gens, ring)
 
 
 def _compress(p: LaurentPoly) -> tuple[LaurentPoly, tuple[int, ...]]:

@@ -2,6 +2,7 @@
 
 import random
 
+import sympy
 from hypothesis import strategies as st
 
 from strongpoly import LaurentPoly, Ring, ZZ, build_family_poly, coprime, family_corpus
@@ -10,6 +11,26 @@ from strongpoly import LaurentPoly, Ring, ZZ, build_family_poly, coprime, family
 def mk(nvars, terms, laurent=False, domain=ZZ):
     """Polynomial from an exponent-tuple -> coefficient mapping."""
     return LaurentPoly(Ring(nvars, laurent, domain), dict(terms))
+
+
+def sympy_expr(p, xs):
+    """p as a sympy expression in the symbols xs."""
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(xs, m)))
+        for m, c in p.terms()
+    ))
+
+
+def reduces_to_zero(f, polys):
+    """Whether sympy's multivariate division of the ordinary polynomial f
+    by polys, under grlex with x1 > x2 > ..., leaves remainder 0: ideal
+    membership when polys is a Groebner basis, by code that shares nothing
+    with the package's normal form."""
+    xs = sympy.symbols(f"x1:{f.ring.nvars + 1}")
+    _, rem = sympy.reduced(
+        sympy_expr(f, xs), [sympy_expr(g, xs) for g in polys], *xs, order="grlex"
+    )
+    return rem == 0
 
 
 def poly_st(nvars=2, laurent=False, max_exp=3, max_terms=5, max_coeff=9, min_terms=0):

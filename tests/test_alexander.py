@@ -7,6 +7,7 @@ from functools import partial
 from itertools import combinations, permutations
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,6 @@ from strongpoly import (
     eval_at_ones,
     fox_derivative,
     free_rank,
-    laurent_member,
     laurent_normalize,
     presentation_rank,
     slice_polynomial,
@@ -36,7 +36,7 @@ from strongpoly import alexander, factor
 from strongpoly.factor import poly_gcd
 from strongpoly.groebner import IdealBasis
 
-from conftest import mk, poly_st
+from conftest import mk, poly_st, sympy_expr
 
 L1 = Ring(1, True, ZZ)
 L2 = Ring(2, True, ZZ)
@@ -47,7 +47,18 @@ def lp(nvars, terms):
 
 
 def pres(rows, ncols=None):
-    return ModulePresentation.from_rows(rows, ncols=ncols)
+    return ModulePresentation(rows[0][0].ring, tuple(map(tuple, rows)), ncols or len(rows[0]))
+
+
+def laurent_member(f, gens):
+    """Whether f lies in the Laurent ideal of gens over Q: whether f without
+    its monomial unit lies in <gens without theirs, 1 - u*x1*...*xn>, the
+    saturation at the product of the variables, by a sympy Groebner basis."""
+    xs = sympy.symbols(f"x1:{f.ring.nvars + 1}")
+    u = sympy.Symbol("u")
+    ideal = [sympy_expr(laurent_normalize(g)[0], xs) for g in gens if not g.is_zero()]
+    G = sympy.groebner([*ideal, 1 - u * sympy.Mul(*xs)], *xs, u, order="grlex")
+    return f.is_zero() or G.contains(sympy_expr(laurent_normalize(f)[0], xs))
 
 
 def leibniz_det(rows, ring):

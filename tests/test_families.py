@@ -46,12 +46,6 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             FamilySpec("F3", (1, 1))
 
-    def test_json_round_trip(self):
-        spec = FamilySpec(F2, (2, 1, -1, 1, 2))
-        assert FamilySpec.from_json_dict(spec.to_json_dict()) == spec
-        with pytest.raises(ValueError):
-            FamilySpec.from_json_dict({"family": F1})
-
     def test_nvars(self):
         assert FamilySpec(F1, (2, 2)).nvars == 2
         assert FamilySpec(F2, (1, 1, 1)).nvars == 3

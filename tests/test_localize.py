@@ -204,9 +204,20 @@ class TestVerify:
         def forbidden(*args, **kwargs):
             raise AssertionError("the audit must not replay or divide")
 
+        # the only divisions are the tests that no prime divides a witness
+        divisors = []
+        divide = ring.exact_divide
+
+        def prime_divisions_only(f, g):
+            if g not in (I.p, I.q):
+                forbidden()
+            divisors.append(g)
+            return divide(f, g)
+
         monkeypatch.setattr(localize, "_reduce_vectors", forbidden)
-        monkeypatch.setattr(LaurentPoly, "exact_divide", forbidden)
+        monkeypatch.setattr(ring, "exact_divide", prime_divisions_only)
         assert verify_principality(I, result)
+        assert len(divisors) == 2 * len(result.witnesses)
 
     def test_each_prime_power_is_made_once_per_call(self, monkeypatch):
         # seed-1 localize benchmark instance 6; recomputing every power by

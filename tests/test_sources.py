@@ -1,7 +1,9 @@
 """Source-level rules for the strongpoly package."""
 
 import ast
+import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import strongpoly
@@ -99,27 +101,64 @@ def _referenced_names(node):
             yield from (alias.name for alias in sub.names)
 
 
+# names with no caller in the package on purpose, each with its reason
+ENTRY_POINTS = {
+    "coprime": "README documents it as a library entry point",
+    "divisor_set_member": "README documents it as a library entry point",
+    "reduce_multi_prime": "README documents it as a library entry point",
+    "radical_member": "the reference the tests check only_trivial_solution against",
+    "fox_derivative": "the reference the tests check the colored Burau pass against",
+    "family_corpus": "the benchmark draws its strong-irred instances from it",
+    "eval_at_ones": "the benchmark checks each Alexander polynomial with it",
+}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_no_dead_module_names():
-    # a module-level function, class or assigned name that is neither
-    # exported nor used anywhere else in the package is dead code
+    # a module-level function, class or assigned name that nothing else in
+    # the package uses is dead code, unless it is a listed entry point;
+    # __init__.py only re-exports, so its imports are no use.  So is a
+    # non-dunder method that no attribute reference outside its own body
+    # names, unless it overrides a method of a base class from outside the
+    # package, such as ArgumentParser.error.
     package = Path(strongpoly.__file__).parent
     statements = []
     for path in sorted(package.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        statements += [(path, stmt) for stmt in tree.body]
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            statements += [(path, stmt) for stmt in tree.body]
     uses = {}
+    attributes = Counter()
     for index, (_, stmt) in enumerate(statements):
         for name in _referenced_names(stmt):
             uses.setdefault(name, set()).add(index)
+        attributes.update(node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute))
     dead = []
     for index, (path, stmt) in enumerate(statements):
-        if path.name == "__init__.py":
-            continue
         for name in _defined_names(stmt):
-            exempt = name in strongpoly.__all__ or (name.startswith("__") and name.endswith("__"))
+            exempt = name in ENTRY_POINTS or _is_dunder(name)
             if not exempt and not uses.get(name, set()) - {index}:
                 dead.append(f"{path.name}:{stmt.lineno} {name}")
+        if not isinstance(stmt, ast.ClassDef):
+            continue
+        module = importlib.import_module(f"strongpoly.{path.stem}")
+        bases = [base for base in getattr(module, stmt.name).__mro__[1:]
+                 if not base.__module__.startswith("strongpoly")]
+        for method in stmt.body:
+            if not isinstance(method, ast.FunctionDef) or _is_dunder(method.name):
+                continue
+            if any(hasattr(base, method.name) for base in bases):
+                continue
+            own = sum(isinstance(node, ast.Attribute) and node.attr == method.name
+                      for node in ast.walk(method))
+            if attributes[method.name] == own:
+                dead.append(f"{path.name}:{method.lineno} {stmt.name}.{method.name}")
     assert dead == []
+    # an entry point is a public name, so a deleted one leaves no stale entry
+    assert set(ENTRY_POINTS) <= set(strongpoly.__all__)
 
 
 # the only module-level mutable containers: constant tables nothing mutates
