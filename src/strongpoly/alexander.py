@@ -26,6 +26,7 @@ from .ring import (
     Ring,
     ZZ,
     _add_shifted,
+    _primitive_terms,
     divides,
     exact_divide,
     laurent_normalize,
@@ -178,7 +179,7 @@ def canonical_associate(p: LaurentPoly) -> LaurentPoly:
     if p.is_zero():
         return LaurentPoly.zero(p.ring.ordinary_version())
     q, _ = laurent_normalize(p)
-    return q.primitive_part().sign_normalized()
+    return LaurentPoly(q.ring, _primitive_terms(q.term_dict()))
 
 
 def divisorial_hull(ideal: IdealBasis) -> LaurentPoly:

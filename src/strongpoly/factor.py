@@ -105,17 +105,11 @@ def _uv_mul(f, g):
 def _uv_scale(f, c):
     return [] if c == 0 else [a * c for a in f]
 
-def _uv_content(f) -> int:
-    g = 0
-    for c in f:
-        g = math.gcd(g, c)
-    return g
-
 def _uv_primitive(f) -> list:
     """Primitive part with positive leading coefficient."""
     if not f:
         return []
-    g = _uv_content(f)
+    g = math.gcd(*f)
     if f[-1] < 0:
         g = -g
     return [c // g for c in f]
@@ -167,7 +161,7 @@ def _uv_gcd(f, g) -> list:
         return _uv_primitive(g) if g else []
     if not g:
         return _uv_primitive(f)
-    cf, cg = _uv_content(f), _uv_content(g)
+    cf, cg = math.gcd(*f), math.gcd(*g)
     a, b = _uv_primitive(f), _uv_primitive(g)
     if _uv_deg(a) < _uv_deg(b):
         a, b = b, a
@@ -922,11 +916,11 @@ def is_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> Verdict:
         return verdict.refuted({"factors": with_unit(parts)})
 
     cont = q.content()
-    sign = -1 if q.leading_coefficient() < 0 else 1
     if cont > 1:
-        pp = q.primitive_part()
+        sign = -1 if q.leading_coefficient() < 0 else 1
+        pp = LaurentPoly(q.ring, _primitive_terms(q.term_dict()))
         return verdict.refuted(
-            {"factors": with_unit([LaurentPoly.constant(q.ring, cont * sign), pp.sign_normalized()])}
+            {"factors": with_unit([LaurentPoly.constant(q.ring, cont * sign), pp])}
         )
 
     used = q.used_vars()

@@ -13,12 +13,12 @@ where the combination identity is checked: once when a reduction is built,
 and once when verify_principality audits it.  Each of those calls keeps its
 own table of prime powers, so every p_i^e and every product of powers is
 made once per call and none outlives it.  The table's products spend their
-term products from one meter per call, which raises ResourceBudgetExceeded
-past MAX_IDENTITY_TERM_PRODUCTS (CLI exit 4).
+term products, weighted by coefficient size, from one meter per call, which
+raises ResourceBudgetExceeded past MAX_IDENTITY_TERM_PRODUCTS (CLI exit 4).
 """
 
-from dataclasses import dataclass, field, replace
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 from .errors import Budgets, Meter
 from .factor import is_irreducible
@@ -30,14 +30,18 @@ from .verdict import PROVED, Verdict, proved, refuted, undecided
 # crossing witness: 1 first, then powers of each variable.
 MAX_UNIT_SHIFT = 8
 
-# Term products (one coefficient multiplication each) that the prime powers,
-# witness products and combination identity of one reduction, or of one
-# audit, may spend: 24 times the most one call spends in the test suite
-# (41512, acceptance 8) and 55 times the most in the benchmark's first 3400
-# instances of seeds 1 and 2 (18102).  The generators (80, 0), (0, 80) in two
-# variables spend 683838; (90, 0), (0, 90) pass the cap within a second.
-# It bounds these products only, not the call: the witnesses are checked by
-# dividing them by each prime, and those exact divisions are not counted.
+# Work that the prime powers, witness products and combination identity of
+# one reduction, or of one audit, may spend.  Each product costs its term
+# products times the 64-bit limbs of the largest coefficient of either
+# operand: a constant prime's powers have one term each, and only their
+# size can stop squaring toward 2^(10^20) before memory runs out.  The cap
+# is 24 times the most one call spends in the test suite (41512, acceptance
+# 8) and 55 times the most in the benchmark's first 3400 instances of seeds
+# 1 and 2 (18102); no coefficient there needs a second limb.  The
+# generators (80, 0), (0, 80) in two variables spend 683838; (90, 0),
+# (0, 90) pass the cap within a second.  It bounds these products only, not
+# the call: the witnesses are checked by dividing them by each prime, and
+# those exact divisions are not counted.
 MAX_IDENTITY_TERM_PRODUCTS = 10**6
 
 
@@ -173,8 +177,9 @@ class _PowerTable:
     Only the powers p_i^e that the call asks for are kept, and each is made
     once: from the largest kept p_i^k with k <= e, times p_i^(e-k) by
     square-and-multiply.  Each exponent vector's product is made once too.
-    Every product made through mul spends its term products from the
-    table's meter, of MAX_IDENTITY_TERM_PRODUCTS units, before it is made.
+    Every product made through mul spends its term products, times the
+    64-bit limbs of the largest operand coefficient, from the table's meter
+    of MAX_IDENTITY_TERM_PRODUCTS units, before it is made.
     """
 
     def __init__(self, primes):
@@ -185,7 +190,9 @@ class _PowerTable:
         self.meter = Meter("localize", MAX_IDENTITY_TERM_PRODUCTS, message)
 
     def mul(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-        self.meter.spend(f.num_terms() * g.num_terms())
+        big = max(map(abs, chain(f.term_dict().values(), g.term_dict().values())))
+        limbs = (big.bit_length() + 63) // 64
+        self.meter.spend(f.num_terms() * g.num_terms() * limbs)
         return f * g
 
     def power(self, i: int, e: int) -> LaurentPoly:
@@ -302,9 +309,8 @@ def reduce_multi_prime(primes, generators) -> ReductionResult:
     return _reduce_vectors(primes, gens)
 
 
-def verify_principality(ideal: LocalizedIdeal, gen) -> bool:
-    """Audit a ReductionResult from its own contents; a bare (s, t) pair
-    is reduced once and audited as that result's generator.
+def verify_principality(ideal: LocalizedIdeal, result: ReductionResult) -> bool:
+    """Audit a ReductionResult from its own contents.
 
     Downward: every input pair (a, b) must dominate (s, t), so p^s q^t
     divides p^a q^b with quotient p^(a-s) q^(b-t); as p and q are certified
@@ -313,9 +319,6 @@ def verify_principality(ideal: LocalizedIdeal, gen) -> bool:
     that merely divides all inputs (such as (0, 0)) fails upward.
     """
     primes = (ideal.p, ideal.q)
-    result = gen
-    if not isinstance(gen, ReductionResult):
-        result = replace(_reduce_vectors(primes, ideal.generators), generator=tuple(gen))
     if len(result.generator) != 2 or min(result.generator) < 0:
         return False
     s, t = result.generator

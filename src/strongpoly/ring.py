@@ -64,10 +64,6 @@ class Ring:
         raise ValueError(f"bad coefficient {c!r} for domain QQ")
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(sub, a, b))
 
@@ -84,20 +80,19 @@ def grlex_key(m: Monomial):
 
 # -- sparse term kernel ----------------------------------------------------
 #
-# Term dicts map exponent tuples to nonzero coefficients.  Every sparse
-# product, exact division, shifted update and content strip in the package
-# runs through the helpers below.
+# Term dicts map exponent tuples to nonzero coefficients.  Every product of
+# such dicts in the package, by another dict or by a monomial, runs through
+# _add_shifted, every exact division through _div_terms and every content
+# strip through _primitive_terms.  Buchberger's loops in groebner.py key
+# their dicts by packed words and keep their own shifts.
 
 
 def _mul_terms(f: dict, g: dict) -> dict:
     """Product of two term dicts."""
     out: dict = {}
-    get = out.get
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            m = tuple(map(add, m1, m2))
-            out[m] = get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
+    for m, c in f.items():
+        _add_shifted(out, g, c, m)
+    return out
 
 
 def _add_shifted(acc: dict, terms: dict, c, shift: Monomial) -> None:
@@ -365,19 +360,14 @@ class LaurentPoly:
         return LaurentPoly(self.ring, {m: v * c for m, v in self._terms.items()})
 
     def mul_monomial(self, exps: Iterable[int], coeff=1) -> "LaurentPoly":
-        exps = tuple(exps)
-        return LaurentPoly(
-            self.ring, {mono_mul(m, exps): v * coeff for m, v in self._terms.items()}
-        )
+        out: dict = {}
+        _add_shifted(out, self._terms, coeff, tuple(exps))
+        return LaurentPoly(self.ring, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.ring == other.ring and self._terms == other._terms
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
         key = self._key
@@ -410,12 +400,6 @@ class LaurentPoly:
         for c in self._terms.values():
             g = math.gcd(g, c)
         return g
-
-    def primitive_part(self) -> "LaurentPoly":
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return LaurentPoly(self.ring, {m: c // g for m, c in self._terms.items()})
 
     def sign_normalized(self) -> "LaurentPoly":
         """Flip sign so the graded-lex leading coefficient is positive."""
@@ -612,8 +596,9 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
     if q is None:
         return None
     if ring.laurent:
-        shift = mono_div(fu, gu)
-        q = {mono_mul(m, shift): c for m, c in q.items()}
+        shifted: dict = {}
+        _add_shifted(shifted, q, 1, mono_div(fu, gu))
+        q = shifted
     return LaurentPoly(ring, q)
 
 

@@ -69,7 +69,8 @@ BOX_MAX = 4
 MAX_BOX_CANDIDATES = 256
 # Strong coprimality: monomial-image tuples listed per side.
 COPRIME_CATALOG_CAP = 40
-# Genericity sampling: the most monomials a sampled form may have.  Each
+# Genericity sampling: the most monomials a sampled form may have, and all
+# of one sample's forms together (trials times the form's monomials).  Each
 # trial builds its form and criterion system, and reduces S-polynomials of
 # that many terms, before a reduction budget can trip; one three-variable
 # trial of 10,011 monomials (degree 140) took 1.3 s and 65 MiB on a 2-core
@@ -158,26 +159,17 @@ def check_strongly_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> 
         return verdict.refuted({"exponents": t_full, "factors": factors})
 
     if m >= 2:
-        budget_hit = None
-        try:
-            if _criterion_holds(q, budgets):
-                return verdict.proved(
-                    "criterion", side="p", effective_vars=m, degree=q.total_degree()
-                )
-        except ResourceBudgetExceeded as exc:
-            budget_hit = exc
-        qbar, _ = laurent_normalize(q.bar())
-        try:
-            if _criterion_holds(qbar, budgets):
-                # bar is x_i -> 1/x_i; it permutes the power substitutions,
-                # so a certificate for bar(p) certifies p as well.
-                return verdict.proved(
-                    "criterion", side="bar", effective_vars=m, degree=qbar.total_degree()
-                )
-        except ResourceBudgetExceeded as exc:
-            budget_hit = exc
-        if budget_hit is not None:
-            notes["resource"] = budget_hit.kind
+        # bar is x_i -> 1/x_i; it permutes the power substitutions, so a
+        # certificate for bar(p) certifies p as well.
+        for side in ("p", "bar"):
+            r = q if side == "p" else laurent_normalize(q.bar())[0]
+            try:
+                if _criterion_holds(r, budgets):
+                    return verdict.proved(
+                        "criterion", side=side, effective_vars=m, degree=r.total_degree()
+                    )
+            except ResourceBudgetExceeded as exc:
+                notes["resource"] = exc.kind
     else:
         notes["univariate"] = True
 
@@ -415,8 +407,9 @@ def genericity_sample(
     all-zero draw is redrawn.  Each trial derives its own RNG from the
     seed, so the report is deterministic and trials could be evaluated in
     any order or in parallel without changing the outcome.  Raises
-    ResourceBudgetExceeded when a form of the degree has more than
-    MAX_SAMPLE_MONOMIALS monomials.
+    ResourceBudgetExceeded, before the first trial, when a form of the
+    degree has more than MAX_SAMPLE_MONOMIALS monomials, or all the trials'
+    forms together have.
     """
     if n_vars < 3:
         raise ValueError("the criterion needs at least 3 homogeneous variables")
@@ -430,6 +423,11 @@ def genericity_sample(
     if count > MAX_SAMPLE_MONOMIALS:
         raise ResourceBudgetExceeded(
             "genericity", f"{count} monomials of degree {degree} are over {MAX_SAMPLE_MONOMIALS}"
+        )
+    if trials * count > MAX_SAMPLE_MONOMIALS:
+        raise ResourceBudgetExceeded(
+            "genericity",
+            f"{trials} trials of {count} monomials are over {MAX_SAMPLE_MONOMIALS} monomials",
         )
     ring = Ring(n_vars)
     # every exponent vector of total degree `degree`, in lexicographic order

@@ -151,27 +151,34 @@ class TestReduction:
         assert a.generator == b.generator == (0, 1)
 
 
+def with_generator(I, gen):
+    """I's reduction with its generator replaced by gen, witnesses and
+    combination kept."""
+    return dataclasses.replace(reduce_localized_ideal(I), generator=gen)
+
+
 class TestVerify:
     def test_accepts_reduction_result_and_pair(self):
         I = ideal([(1, 3), (2, 1)])
         result = reduce_localized_ideal(I)
         assert verify_principality(I, result)
-        assert verify_principality(I, (1, 1))
+        assert verify_principality(I, with_generator(I, (1, 1)))
 
     def test_rejects_strict_divisor_of_the_generator(self):
         # (0, 0) divides every input but is not reachable as a combination
         I = ideal([(1, 3), (2, 1)])
-        assert not verify_principality(I, (0, 0))
+        assert not verify_principality(I, with_generator(I, (0, 0)))
 
     def test_rejects_non_divisor(self):
         I = ideal([(1, 3), (2, 1)])
-        assert not verify_principality(I, (2, 1))
-        assert not verify_principality(I, (1, 2))
-        assert not verify_principality(I, (-1, 1))
+        assert not verify_principality(I, with_generator(I, (2, 1)))
+        assert not verify_principality(I, with_generator(I, (1, 2)))
+        assert not verify_principality(I, with_generator(I, (-1, 1)))
 
     def test_singleton_and_zero(self):
-        assert verify_principality(ideal([(2, 0)]), (2, 0))
-        assert verify_principality(ideal([(0, 0)]), (0, 0))
+        for gen in [(2, 0), (0, 0)]:
+            I = ideal([gen])
+            assert verify_principality(I, with_generator(I, gen))
 
     def test_rejects_a_swapped_witness(self):
         I = ideal([(1, 3), (2, 1)])

@@ -277,6 +277,14 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "1282401 monomials" in proc.stderr
 
+    def test_genericity_past_the_sample_bound_is_four(self):
+        # each form has 6 monomials, but 10^8 trials would run for days
+        proc = run_cli(
+            "genericity", "--vars", "3", "--degree", "2", "--trials", "100000000", timeout=10
+        )
+        assert proc.returncode == 4
+        assert "100000000 trials of 6 monomials" in proc.stderr
+
     def test_ribbon_gate_counts_integer_content(self):
         # p and bar(p) share the factor 2, so the coprime gate stops the run
         proc = run_cli("verify-ribbon", "2*x1 + 4", "--vars", "1")
@@ -466,6 +474,16 @@ class TestExitCodes:
         proc = run_cli("reduce-ideal", "--p", "2", "--q", "3",
                        "--gens", "100000,0;0,1", timeout=30)
         assert proc.returncode in (0, 1, 2, 3, 4)
+        assert time.perf_counter() - start < 10
+
+    def test_constant_primes_with_a_vast_exponent_are_four(self):
+        # each power of 2 is one term, so only the coefficient's size can
+        # stop squaring toward 2^(10^20) before memory runs out
+        start = time.perf_counter()
+        proc = run_cli("reduce-ideal", "--p", "2", "--q", "3",
+                       "--gens", "99999999999999999999,0;0,1", timeout=10)
+        assert proc.returncode == 4
+        assert "the combination identity needs more than" in proc.stderr
         assert time.perf_counter() - start < 10
 
     def test_deep_nesting_is_three(self, capsys):

@@ -13,6 +13,7 @@ from strongpoly import (
     QQ,
     Ring,
     ZZ,
+    canonical_associate,
     divides,
     exact_divide,
     grlex_key,
@@ -190,6 +191,10 @@ class TestArithmetic:
     def test_mul_monomial(self):
         p = mk(2, {(1, 0): 1, (0, 0): 2})
         assert p.mul_monomial((0, 2), 3) == mk(2, {(1, 2): 3, (0, 2): 6})
+        shifted = mk(2, {(0, 0): 1, (-1, 0): 2}, laurent=True)
+        assert p.to_laurent().mul_monomial((-1, 0)) == shifted
+        with pytest.raises(ValueError):
+            p.mul_monomial((-1, 0))
 
 
 class TestBar:
@@ -211,7 +216,8 @@ class TestCalculusAndContent:
     def test_content_and_primitive(self):
         p = mk(2, {(1, 0): 6, (0, 0): -9})
         assert p.content() == 3
-        assert p.primitive_part() == mk(2, {(1, 0): 2, (0, 0): -3})
+        pp = mk(2, {(1, 0): 2, (0, 0): -3})
+        assert canonical_associate(p) == canonical_associate(-p) == pp
         assert mk(2, {}).content() == 0
 
     def test_sign_normalized(self):
