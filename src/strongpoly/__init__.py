@@ -26,7 +26,7 @@ from .alexander import (
     verify_ribbon_presentation,
 )
 from .errors import Budgets, ResourceBudgetExceeded
-from .factor import Factorization, coprime, is_irreducible, poly_gcd
+from .factor import coprime, is_irreducible, poly_gcd
 from .families import (
     F1,
     F2,
@@ -86,7 +86,6 @@ __all__ = [
     "DivisorSetQuery",
     "F1",
     "F2",
-    "Factorization",
     "FamilySpec",
     "GenericityReport",
     "HomogPoly",

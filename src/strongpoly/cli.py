@@ -63,19 +63,6 @@ def _encode(obj):
     return obj
 
 
-def _verdict_lines(v: Verdict) -> list[str]:
-    lines = [f"status: {v.status}"]
-    if v.rule:
-        lines.append(f"rule: {v.rule}")
-    if v.reason:
-        lines.append(f"reason: {v.reason}")
-    if v.witness is not None:
-        lines.append("witness: " + json.dumps(_encode(v.witness), sort_keys=True))
-    if v.details:
-        lines.append("details: " + json.dumps(_encode(v.details), sort_keys=True))
-    return lines
-
-
 def _parse_shared(texts, laurent: bool, nvars=None) -> list[LaurentPoly]:
     """Parse several polynomials into one common ring."""
     first = [parse_polynomial(t, laurent=laurent) for t in texts]
@@ -116,25 +103,23 @@ def _read_stdin_json():
 
 
 # -- subcommand handlers ----------------------------------------------------
-# Each returns (status, result dict, text lines, exit code).
+# Each returns a Verdict, which main renders and maps to its exit code, or
+# (result dict, text lines, exit code).
 
 
 def _cmd_check_irred(args):
     (p,) = _parse_shared([args.poly], args.laurent, args.vars)
-    v = is_irreducible(p, _budgets(args))
-    return v.status, _encode(v), _verdict_lines(v), _EXIT_FOR_STATUS[v.status]
+    return is_irreducible(p, _budgets(args))
 
 
 def _cmd_check_strong_irred(args):
     (p,) = _parse_shared([args.poly], args.laurent, args.vars)
-    v = check_strongly_irreducible(p, _budgets(args))
-    return v.status, _encode(v), _verdict_lines(v), _EXIT_FOR_STATUS[v.status]
+    return check_strongly_irreducible(p, _budgets(args))
 
 
 def _cmd_check_coprime(args):
     p, q = _parse_shared([args.p, args.q], args.laurent, args.vars)
-    v = check_strongly_coprime(p, q, _budgets(args))
-    return v.status, _encode(v), _verdict_lines(v), _EXIT_FOR_STATUS[v.status]
+    return check_strongly_coprime(p, q, _budgets(args))
 
 
 def _cmd_check_vector_coprime(args):
@@ -143,21 +128,20 @@ def _cmd_check_vector_coprime(args):
     polys = _parse_shared(left + right, args.laurent, args.vars)
     P = PolyVector(tuple(polys[: len(left)]))
     Q = PolyVector(tuple(polys[len(left):]))
-    v = check_vector_coprime(P, Q, _budgets(args))
-    return v.status, _encode(v), _verdict_lines(v), _EXIT_FOR_STATUS[v.status]
+    return check_vector_coprime(P, Q, _budgets(args))
 
 
 def _cmd_gen_family(args):
     p = _family_member(args)
     text = p.to_text()
     result = {"family": args.family, "k": [int(k) for k in args.k.split(",")], "polynomial": text}
-    return "OK", result, [f"polynomial: {text}"], 0
+    return result, [f"polynomial: {text}"], 0
 
 
 def _cmd_slice_poly(args):
     p = _poly_or_family(args)
     product = families.slice_polynomial(p)
-    return "OK", {"product": product.to_text()}, [f"product: {product.to_text()}"], 0
+    return {"product": product.to_text()}, [f"product: {product.to_text()}"], 0
 
 
 def _cmd_elementary_ideal(args):
@@ -165,7 +149,7 @@ def _cmd_elementary_ideal(args):
     ideal = alexander.elementary_ideal(pres, args.k)
     gens = [g.to_text() for g in ideal.generators]
     lines = [f"gen: {g}" for g in gens] if gens else ["zero ideal"]
-    return "OK", {"k": args.k, "generators": gens}, lines, 0
+    return {"k": args.k, "generators": gens}, lines, 0
 
 
 def _cmd_divisorial_hull(args):
@@ -184,7 +168,7 @@ def _cmd_divisorial_hull(args):
         if not g.is_zero():
             gens.append(alexander.canonical_associate(g).to_ordinary())
     hull = alexander.divisorial_hull(IdealBasis(ring, tuple(gens)))
-    return "OK", {"hull": hull.to_text()}, [f"hull: {hull.to_text()}"], 0
+    return {"hull": hull.to_text()}, [f"hull: {hull.to_text()}"], 0
 
 
 def _presentation_from_args(args):
@@ -201,7 +185,7 @@ def _cmd_torsion_alex(args):
     pres = _presentation_from_args(args)
     delta = alexander.torsion_alexander_poly(pres)
     text = delta.to_text("t")
-    return "OK", {"alexander": text}, [text], 0
+    return {"alexander": text}, [text], 0
 
 
 def _cmd_braid_alex(args):
@@ -225,7 +209,7 @@ def _cmd_braid_alex(args):
         f"link free rank: {link_rank}",
         f"alexander: {text}",
     ]
-    return "OK", result, lines, 0
+    return result, lines, 0
 
 
 def _cmd_verify_ribbon(args):
@@ -246,7 +230,7 @@ def _cmd_verify_ribbon(args):
         "alexander": report.alexander.to_text(),
         "ok": report.ok,
     }
-    return ("OK" if report.ok else "REFUTED"), result, lines, 0 if report.ok else 1
+    return result, lines, 0 if report.ok else 1
 
 
 def _cmd_blanchfield_witness(args):
@@ -262,7 +246,7 @@ def _cmd_blanchfield_witness(args):
         f"denominator: {result['denominator']}",
         f"zero: {'true' if result['zero'] else 'false'}",
     ]
-    return "OK", result, lines, 0
+    return result, lines, 0
 
 
 def _cmd_reduce_ideal(args):
@@ -279,7 +263,7 @@ def _cmd_reduce_ideal(args):
     lines = [f"generator: p^{s} q^{t}"]
     lines += [f"witness: {w.to_text()}" for w in res.witnesses]
     lines.append(f"principal: {'true' if principal else 'false'}")
-    return ("OK" if principal else "REFUTED"), result, lines, 0 if principal else 1
+    return result, lines, 0 if principal else 1
 
 
 def _cmd_genericity(args):
@@ -302,7 +286,7 @@ def _cmd_genericity(args):
         "rate": float(rate),
     }
     lines = [f"passes: {report.passes}/{report.trials}", f"rate: {rate}"]
-    return "OK", result, lines, 0
+    return result, lines, 0
 
 
 class _UsageError(Exception):
@@ -475,7 +459,18 @@ def main(argv=None) -> int:
         return 3
     start = time.perf_counter()
     try:
-        status, result, lines, code = args.handler(args)
+        out = args.handler(args)
+        # rendering stays inside the try: to_text raises ResourceBudgetExceeded
+        # past its print limit, which must exit 4
+        if isinstance(out, Verdict):
+            # a verdict's fields sit at the top level of the JSON report
+            code = _EXIT_FOR_STATUS[out.status]
+            shown = _encode(out)
+            lines = [f"{key}: {val if isinstance(val, str) else json.dumps(val, sort_keys=True)}"
+                     for key, val in shown.items()]
+        else:
+            result, lines, code = out
+            shown = {"status": "OK" if code == 0 else REFUTED, "result": result}
     except ValueError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 3
@@ -489,16 +484,7 @@ def main(argv=None) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if getattr(args, "json", False):
         report = {"command": args.subcommand, "exit_code": code, "timing_ms": round(elapsed_ms, 3)}
-        if isinstance(result, dict) and "status" in result:
-            # verdict commands: hoist the verdict fields to the top level
-            report["status"] = result["status"]
-            for key in ("rule", "reason", "witness", "details"):
-                if key in result:
-                    report[key] = result[key]
-        else:
-            report["status"] = status
-            report["result"] = result
-        print(json.dumps(report, sort_keys=True))
+        print(json.dumps({**report, **shown}, sort_keys=True))
     else:
         for line in lines:
             print(line)

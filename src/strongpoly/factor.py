@@ -1,6 +1,8 @@
 """Desk-scale exact factorization and irreducibility oracle over Z.
 
-Univariate factorization is the classical chain: content, Yun squarefree
+Integer constants, the integer content and the sign belong to
+is_irreducible, which settles them before any factoring.  Univariate
+factorization of the primitive rest is the classical chain: Yun squarefree
 decomposition, Berlekamp at the smallest odd prime that preserves degree
 and squarefreeness, quadratic Hensel lifting past a Mignotte-style bound,
 then subset recombination with exact trial division.  Multivariate
@@ -33,7 +35,6 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import verdict
 from .errors import Budgets, Meter, ResourceBudgetExceeded
@@ -50,14 +51,6 @@ from .ring import (
     laurent_normalize,
 )
 from .verdict import Verdict
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """unit * prod(poly^mult); factors are primitive with positive lead."""
-
-    unit: int
-    factors: tuple[tuple[LaurentPoly, int], ...]
 
 
 # -- dense univariate integer polynomials (ascending coefficients) -----
@@ -495,7 +488,7 @@ def _uv_factor_primitive(f: list) -> list[tuple[list, int]]:
     return out
 
 
-# -- boundary: LaurentPoly in, verdicts/factorizations out ---------------
+# -- boundary: LaurentPoly in, verdicts and factor lists out -------------
 
 
 def _require_zz(p: LaurentPoly):
@@ -513,33 +506,23 @@ def _poly_from_dense(coeffs: list, ring: Ring, var: int) -> LaurentPoly:
     return LaurentPoly(ring, terms)
 
 
-def univariate_factor(p: LaurentPoly) -> Factorization:
-    """Complete factorization of a univariate (one effective variable) p over Z."""
-    _require_zz(p)
-    if p.ring.laurent:
-        raise ValueError("univariate_factor expects an ordinary polynomial")
-    if p.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
+def univariate_factor(p: LaurentPoly) -> list[LaurentPoly]:
+    """The irreducible factors over Z of a primitive ordinary p in exactly
+    one variable, one entry per multiplicity, sorted by (degree, text); the
+    first carries the sign of p's leading coefficient."""
     used = p.used_vars()
-    if len(used) > 1:
-        raise ValueError(f"polynomial uses {len(used)} variables, expected at most 1")
-    if not used:
-        c = p.constant_value()
-        facs = tuple((LaurentPoly.constant(p.ring, q), m) for q, m in _int_factor(abs(c)))
-        return Factorization(-1 if c < 0 else 1, facs)
+    if p.ring.laurent or len(used) != 1 or p.content() != 1:
+        raise ValueError("univariate_factor needs a primitive ordinary polynomial in one variable")
     var = used[0]
     dense = _eval_partial(p, var, {})
-    prim = _uv_primitive(dense)
-    cont = dense[-1] // prim[-1]
-    pairs = _uv_factor_primitive(prim)
-    facs = [(_poly_from_dense(g, p.ring, var), m) for g, m in pairs]
-    facs.sort(key=lambda fm: (fm[0].total_degree(), fm[0].to_text()))
-    unit = cont
+    pairs = _uv_factor_primitive(_uv_primitive(dense))
     out = []
-    for q, m in _int_factor(abs(cont)):
-        out.append((LaurentPoly.constant(p.ring, q), m))
-        unit //= q ** m
-    return Factorization(unit, tuple(out) + tuple(facs))
+    for g, m in pairs:
+        out += [_poly_from_dense(g, p.ring, var)] * m
+    out.sort(key=lambda f: (f.total_degree(), f.to_text()))
+    if dense[-1] < 0:
+        out[0] = -out[0]
+    return out
 
 
 def _int_factor(n: int) -> list[tuple[int, int]]:
@@ -925,12 +908,10 @@ def is_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> Verdict:
 
     used = q.used_vars()
     if len(used) == 1:
-        fact = univariate_factor(q)
-        expanded = [f for f, m in fact.factors for _ in range(m)]
-        if len(expanded) == 1:
+        factors = univariate_factor(q)
+        if len(factors) == 1:
             return verdict.proved("univariate")
-        expanded[0] = expanded[0].scale(fact.unit)
-        return verdict.refuted({"factors": with_unit(expanded)})
+        return verdict.refuted({"factors": with_unit(factors)})
 
     if q.total_degree() == 1:
         return verdict.proved("degree-1")

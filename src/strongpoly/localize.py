@@ -141,7 +141,6 @@ class ReductionResult:
 
     generator: tuple
     witnesses: tuple
-    steps: tuple
     combination: tuple
 
 
@@ -260,17 +259,14 @@ def _reduce_vectors(primes, gens) -> ReductionResult:
     coeffs = [one] + [zero] * (len(gens) - 1)
     w_product = one
     witnesses: list = []
-    steps: list = []
     for m, nxt in enumerate(gens[1:], start=1):
         if all(a <= b for a, b in zip(current, nxt)):
-            steps.append(("dominated", m, None))
             continue
         if all(b <= a for a, b in zip(current, nxt)):
             # prod^nxt * W == W * input_m keeps every witness in the identity
             current = nxt
             coeffs = [zero] * len(gens)
             coeffs[m] = w_product
-            steps.append(("dominates", m, None))
             continue
         mins = tuple(min(a, b) for a, b in zip(current, nxt))
         a_part = table.product(a - b for a, b in zip(current, mins))
@@ -288,10 +284,9 @@ def _reduce_vectors(primes, gens) -> ReductionResult:
         coeffs[m] = table.mul(unit, w_product)
         w_product = table.mul(w_product, witness)
         witnesses.append(witness)
-        steps.append(("crossing", m, witness))
         current = mins
 
-    result = ReductionResult(current, tuple(witnesses), tuple(steps), tuple(coeffs))
+    result = ReductionResult(current, tuple(witnesses), tuple(coeffs))
     if not _combination_holds(table, gens, result):
         raise RuntimeError("reduction lost the combination identity")
     return result

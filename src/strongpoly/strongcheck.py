@@ -153,7 +153,7 @@ def check_strongly_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> 
     if m == 0:
         inner = is_irreducible(q, budgets)
         if inner.is_proved:
-            return verdict.proved("constant-prime", constant=q.constant_value())
+            return inner
         t_full = (1,) * p.ring.nvars
         factors = _ambient_factors(inner.witness["factors"], (), p, t_full, unit_mono)
         return verdict.refuted({"exponents": t_full, "factors": factors})

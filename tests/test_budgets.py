@@ -43,7 +43,7 @@ def recombination_input():
 def rho_input():
     # three primes past the trial divisors: the second rho split, of
     # 10009 * 10037, is the one that runs out
-    factor.univariate_factor(P(str(10007 * 10009 * 10037)))
+    factor.is_irreducible(P(str(10007 * 10009 * 10037)))
 
 
 CASES = [

@@ -148,12 +148,17 @@ class TestUnivariate:
 
     def test_factorization_expand_round_trip(self):
         p = mk(1, {(2,): 1, (0,): -1}) * mk(1, {(1,): 1, (0,): 2}) ** 2
-        fact = univariate_factor(p)
-        expanded = mk(1, {(0,): fact.unit})
-        for f, m in fact.factors:
-            expanded = expanded * f**m
-        assert expanded == p
-        assert sorted(m for _, m in fact.factors) == [1, 1, 2]
+        factors = univariate_factor(p)
+        assert reduce(lambda a, b: a * b, factors) == p
+        assert [f.to_text() for f in factors] == ["x1 + 1", "x1 + 2", "x1 + 2", "x1 - 1"]
+        # the first factor carries the sign of the leading coefficient
+        assert [f.to_text() for f in univariate_factor(-p)][:2] == ["-x1 - 1", "x1 + 2"]
+
+    @pytest.mark.parametrize("text", ["2*x1^2 - 2", "6", "x1*x2 + 1"])
+    def test_univariate_factor_needs_primitive_one_variable_input(self, text):
+        # the content and integer constants are is_irreducible's to settle
+        with pytest.raises(ValueError):
+            univariate_factor(parse_polynomial(text))
 
     def test_recombination_tests_constant_terms_before_products(self, monkeypatch):
         # x^40 + 3 is irreducible (Eisenstein at 3) but splits into many

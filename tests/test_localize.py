@@ -201,7 +201,7 @@ class TestVerify:
         witness = mk(1, {(1,): 2, (0,): 2}, laurent=True)
         combination = mk(1, {(1,): 1, (0,): 1}, laurent=True)
         I = LocalizedIdeal(two, three, ((1, 0),))
-        forged = ReductionResult((0, 0), (witness,), (), (combination,))
+        forged = ReductionResult((0, 0), (witness,), (combination,))
         assert not verify_principality(I, forged)
 
     def test_result_is_audited_without_replay_or_division(self, monkeypatch):

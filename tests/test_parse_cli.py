@@ -21,8 +21,10 @@ from strongpoly import (
     LaurentPoly,
     ParseError,
     QQ,
+    REFUTED,
     ResourceBudgetExceeded,
     Ring,
+    Verdict,
     ZZ,
     parse_braid,
     parse_matrix_json,
@@ -296,6 +298,14 @@ class TestExitCodes:
         proc = run_cli("reduce-ideal", "--p", "2", "--q", "3", "--gens", "100000,0;0,1", timeout=10)
         assert proc.returncode == 4
         assert "resource budget" in proc.stderr
+
+    def test_verdict_too_large_to_print_is_four(self, monkeypatch, capsys):
+        # a factor with a 5000-digit coefficient passes the digit limit for
+        # printing, and main renders the verdict inside its guard
+        wide = Verdict(REFUTED, witness={"factors": [mk(1, {(1,): 10**4999, (0,): 1})]})
+        monkeypatch.setattr(cli, "is_irreducible", lambda p, budgets: wide)
+        assert cli.main(["check-irred", "x1 + 1"]) == 4
+        assert "resource budget exceeded" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["slice-poly", "verify-ribbon"])
     def test_family_without_k_is_three(self, command):

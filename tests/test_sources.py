@@ -84,6 +84,25 @@ def test_content_gcd_stays_in_poly_gcd():
     assert found
 
 
+def test_exit_codes_stay_in_main():
+    # cli.main alone turns a verdict into its output and exit code: a handler
+    # returns the Verdict itself, so only main reads the status table
+    found = []
+    for path in sorted(Path(strongpoly.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if "_EXIT_FOR_STATUS" in (
+                    getattr(node, "attr", None), getattr(node, "name", None)
+                ) or (isinstance(node, ast.Name) and node.id == "_EXIT_FOR_STATUS"
+                      and isinstance(node.ctx, ast.Load)):
+                    found.append((path.name, getattr(top, "name", None), node.lineno))
+    outside = [f"{name}:{top}:{line}" for name, top, line in found
+               if (name, top) != ("cli.py", "main")]
+    assert outside == []
+    assert found
+
+
 def _defined_names(stmt):
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [stmt.name]

@@ -89,6 +89,26 @@ class TestStronglyIrreducible:
         q = mk(2, {(1, 0): 2, (0, 0): 2})  # content 2
         check_refutation_reassembles(q, check_strongly_irreducible(q))
 
+    @pytest.mark.parametrize(
+        "text, laurent, status, rule, details, exponents, factors",
+        [
+            ("7", False, PROVED, "constant-prime", {"constant": 7}, None, None),
+            ("-7", False, PROVED, "constant-prime", {"constant": -7}, None, None),
+            ("6", False, REFUTED, None, {}, (), ["2", "3"]),
+            ("6*x1^-1", True, REFUTED, None, {}, (1,), ["2*x1^-1", "3"]),
+        ],
+    )
+    def test_constant_input(self, text, laurent, status, rule, details, exponents, factors):
+        # is_irreducible settles a constant: its PROVED verdict comes back as
+        # it is, and its factors carry the stripped monomial in p's ring
+        p = parse_polynomial(text, laurent=laurent)
+        v = check_strongly_irreducible(p)
+        assert (v.status, v.rule, v.details) == (status, rule, details)
+        if status == REFUTED:
+            assert v.witness["exponents"] == exponents
+            assert [f.to_text() for f in v.witness["factors"]] == factors
+            check_refutation_reassembles(p, v)
+
     def test_laurent_input(self):
         p = mk(2, {(0, 0): 1, (1, 0): 1, (0, 1): -1}).to_laurent().mul_monomial((-1, 0))
         assert check_strongly_irreducible(p).status == PROVED
