@@ -13,10 +13,10 @@ attached to a slice polynomial p * bar(p), and certifies nonzero
 self-pairing classes against a denominator p * bar(p).
 """
 
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from operator import add
 
 from .errors import Meter
 from .factor import is_irreducible, poly_gcd
@@ -25,7 +25,8 @@ from .ring import (
     LaurentPoly,
     Ring,
     ZZ,
-    _add_shifted,
+    WordFormat,
+    _add_shifted_words,
     _primitive_terms,
     divides,
     exact_divide,
@@ -40,9 +41,10 @@ MAX_MINOR_WORK = 2_000_000
 # Term reads of braid_to_presentation's colored Burau pass: each column
 # update reads the terms of the entries it combines, plus one read for the
 # update itself, so a long word of small entries is bounded too.  The
-# benchmark's 12,000 references spend at most 976 and the tests 1,425.  The
-# cap is reached in 0.5-1 s with one closure component, and in up to 5.2 s
-# with 100, whose exponent tuples are 100 wide (CPython 3.11, 2-core Xeon).
+# benchmark's 12,000 references spend at most 976 and the tests 1,425.  Keys
+# are packed words, one int at any component count, so s1^-20000 reaches the
+# cap in 0.15-0.25 s on 2 strands and 0.5-0.6 s on 100, whose closure has
+# 100 components (CPython 3.11, 2-core Xeon).
 MAX_BURAU_TERM_READS = 1_000_000
 
 
@@ -85,9 +87,11 @@ def _next_layer(layer: dict, row: list, work: Meter) -> dict:
     expansion.
 
     layer maps each sorted column set of the rows taken so far to the term
-    dict of their minor on those columns; row is the next row's term dicts.
-    Column j enters with sign (-1)^#(used columns > j).  Each product of an
-    entry with a minor spends its term products plus one from work.
+    dict of their minor on those columns, keyed by the words of the
+    expansion's WordFormat; row is the next row's entries, keyed by their
+    shifts (_word_rows).  Column j enters with sign (-1)^#(used columns > j).
+    Each product of an entry with a minor spends its term products plus one
+    from work.
     """
     spend = work.spend
     nxt: dict = {}
@@ -96,15 +100,31 @@ def _next_layer(layer: dict, row: list, work: Meter) -> dict:
             if not entry or j in cols:
                 continue
             spend(len(entry) * len(minor) + 1)
-            acc = nxt.setdefault(tuple(sorted(cols + (j,))), {})
-            sign = -1 if sum(c > j for c in cols) % 2 else 1
+            at = bisect(cols, j)
+            acc = nxt.setdefault(cols[:at] + (j,) + cols[at:], {})
+            sign = -1 if (len(cols) - at) % 2 else 1
             for m, c in entry.items():
-                _add_shifted(acc, minor, sign * c, m)
+                _add_shifted_words(acc, minor, sign * c, m)
     return {cols: minor for cols, minor in nxt.items() if minor}
 
 
-def _rank_layer(pres: ModulePresentation) -> tuple[int, dict]:
-    """The rank of the relation matrix and the layer after the kept rows.
+def _word_rows(pres: ModulePresentation) -> tuple[WordFormat, list]:
+    """The word format of pres's cofactor expansion, and its rows with each
+    entry keyed by shifts.
+
+    A term of a minor is a product of one term from each of its rows, so
+    no exponent of it exceeds in size the sum over all rows of each row's
+    largest |exponent|: that sum is the format's bound.
+    """
+    rows = [[e.term_dict() for e in row] for row in pres.rows]
+    bound = sum(max((abs(e) for d in row for m in d for e in m), default=0) for row in rows)
+    words = WordFormat(pres.ring, bound)
+    return words, [[words.shifts(d) for d in row] for row in rows]
+
+
+def _rank_layer(pres: ModulePresentation) -> tuple[int, WordFormat, dict]:
+    """The rank of the relation matrix, and the word format and layer of
+    the cofactor expansion after the kept rows.
 
     A greedy pass of the cofactor expansion over the rows: a row is kept
     when the layer after the kept rows and it is nonempty.  The layer after
@@ -116,13 +136,14 @@ def _rank_layer(pres: ModulePresentation) -> tuple[int, dict]:
     MAX_MINOR_WORK.
     """
     work = _minor_meter()
-    layer = {(): {(0,) * pres.ring.nvars: 1}}
+    words, rows = _word_rows(pres)
+    layer = {(): {words.one: 1}}
     rank = 0
-    for row in pres.rows:
-        if nxt := _next_layer(layer, [e.term_dict() for e in row], work):
+    for row in rows:
+        if nxt := _next_layer(layer, row, work):
             layer = nxt
             rank += 1
-    return rank, layer
+    return rank, words, layer
 
 
 def presentation_rank(pres: ModulePresentation) -> int:
@@ -150,25 +171,25 @@ def elementary_ideal(pres: ModulePresentation, k: int) -> IdealBasis:
     # selection of those rows shares its partial minors.
     work = _minor_meter()
     work.spend(comb(pres.nrows, size))
-    rows = [[e.term_dict() for e in row] for row in pres.rows]
+    words, rows = _word_rows(pres)
 
     def minors():
         for rsel in combinations(range(pres.nrows), size):
-            layer = {(): {(0,) * pres.ring.nvars: 1}}
+            layer = {(): {words.one: 1}}
             for i in rsel:
                 layer = _next_layer(layer, rows[i], work)
             yield from layer.values()
 
-    return _minor_ideal(pres.ring, minors())
+    return _minor_ideal(words, minors())
 
 
-def _minor_ideal(ring: Ring, minors) -> IdealBasis:
-    """The ideal of the given minors (term dicts over the Laurent ring),
-    each stripped of its monomial unit and sign-normalized, as a sorted
-    basis over the ordinary version of the ring."""
-    gens = {laurent_normalize(LaurentPoly(ring, m))[0].sign_normalized() for m in minors}
+def _minor_ideal(words: WordFormat, minors) -> IdealBasis:
+    """The ideal of the given minors (term dicts keyed by words), each
+    stripped of its monomial unit and sign-normalized, as a sorted basis
+    over the ordinary version of the ring."""
+    gens = {laurent_normalize(words.poly(m))[0].sign_normalized() for m in minors}
     return IdealBasis(
-        ring.ordinary_version(),
+        words.ring.ordinary_version(),
         tuple(sorted(gens, key=lambda g: sorted(g.term_dict().items()))),
     )
 
@@ -205,9 +226,9 @@ def torsion_alexander_poly(pres: ModulePresentation) -> LaurentPoly:
     When the rank pass keeps every row, that ideal's only row selection is
     all the rows, and the pass's last layer already holds its minors.
     """
-    rank, layer = _rank_layer(pres)
+    rank, words, layer = _rank_layer(pres)
     if rank == pres.nrows:
-        return divisorial_hull(_minor_ideal(pres.ring, layer.values()))
+        return divisorial_hull(_minor_ideal(words, layer.values()))
     return divisorial_hull(elementary_ideal(pres, pres.ncols - rank))
 
 
@@ -293,44 +314,46 @@ def braid_to_presentation(word, strands: int) -> ModulePresentation:
     position m after the crossing:
     s_i:     (c_i, c_i+1) <- (c_i (1 - T_i+1) + c_i+1,  c_i T_i)
     s_i^-1:  (c_i, c_i+1) <- (c_i+1 T_i+1^-1,  c_i + c_i+1 T_i+1^-1 (T_i - 1))
-    Raises ResourceBudgetExceeded("braid-words") once the pass passes
-    MAX_BURAU_TERM_READS.
+    The entries are term dicts keyed by packed words: an exponent moves by
+    at most 1 per crossing, so the word length bounds every exponent, and it
+    is the WordFormat's bound.  Raises ResourceBudgetExceeded("braid-words")
+    once the pass passes MAX_BURAU_TERM_READS.
     """
     count, color = braid_components(word, strands)
     color = list(color)  # color at each 0-based position
-    zero = (0,) * count
-    var = [tuple(int(k == c) for k in range(count)) for c in range(count)]
-    inv = [tuple(-e for e in v) for v in var]
-    rows = [[{zero: 1} if g == j else {} for g in range(strands)] for j in range(strands - 1)]
+    ring = Ring(count, laurent=True)
+    words = WordFormat(ring, len(word))
+    one = words.one
+    var = [words.shift(tuple(int(k == c) for k in range(count))) for c in range(count)]
+    rows = [[{one: 1} if g == j else {} for g in range(strands)] for j in range(strands - 1)]
     message = f"the colored Burau pass needs over {MAX_BURAU_TERM_READS} term reads"
     spend = Meter("braid-words", MAX_BURAU_TERM_READS, message).spend
     for a in word:
         i = abs(a) - 1
         color[i], color[i + 1] = color[i + 1], color[i]
-        ti, tj, inv_tj = var[color[i]], var[color[i + 1]], inv[color[i + 1]]
-        ratio = tuple(map(add, ti, inv_tj))
+        ti, tj = var[color[i]], var[color[i + 1]]
         for row in rows:
+            # each entry dict belongs to one cell, so the column that keeps
+            # its old value plus a multiple of the other is updated in place
             x, y = row[i], row[i + 1]
             if a > 0:
                 spend(2 * len(x) + len(y) + 2)
-                new_i = dict(y)
-                _add_shifted(new_i, x, 1, zero)
-                _add_shifted(new_i, x, -1, tj)
                 new_j = {}
-                _add_shifted(new_j, x, 1, ti)
+                _add_shifted_words(new_j, x, 1, ti)
+                _add_shifted_words(y, x, 1, 0)
+                _add_shifted_words(y, x, -1, tj)
+                row[i], row[i + 1] = y, new_j
             else:
                 spend(len(x) + 2 * len(y) + 2)
                 new_i = {}
-                _add_shifted(new_i, y, 1, inv_tj)
-                new_j = dict(x)
-                _add_shifted(new_j, y, 1, ratio)
-                _add_shifted(new_j, y, -1, inv_tj)
-            row[i], row[i + 1] = new_i, new_j
-    ring = Ring(count, laurent=True)
+                _add_shifted_words(new_i, y, 1, -tj)
+                _add_shifted_words(x, y, 1, ti - tj)
+                _add_shifted_words(x, y, -1, -tj)
+                row[i], row[i + 1] = new_i, x
     for j, row in enumerate(rows):
-        _add_shifted(row[j], {zero: 1}, -1, zero)
+        _add_shifted_words(row[j], {one: 1}, -1, 0)
     return ModulePresentation(
-        ring, tuple(tuple(LaurentPoly(ring, e) for e in row) for row in rows), strands
+        ring, tuple(tuple(words.poly(e) for e in row) for row in rows), strands
     )
 
 

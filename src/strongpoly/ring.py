@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le, lshift, sub
 from typing import Iterable, Iterator
 
 from .errors import ResourceBudgetExceeded
@@ -83,8 +83,11 @@ def grlex_key(m: Monomial):
 # Term dicts map exponent tuples to nonzero coefficients.  Every product of
 # such dicts in the package, by another dict or by a monomial, runs through
 # _add_shifted, every exact division through _div_terms and every content
-# strip through _primitive_terms.  Buchberger's loops in groebner.py key
-# their dicts by packed words and keep their own shifts.
+# strip through _primitive_terms.  Two kinds of loop key their dicts by one
+# int per monomial instead: alexander's colored Burau pass and cofactor
+# expansion, through the WordFormat below and its shifted update
+# _add_shifted_words, and Buchberger's loops in groebner.py, which keep
+# their own word layout and shifts.
 
 
 def _mul_terms(f: dict, g: dict) -> dict:
@@ -99,6 +102,18 @@ def _add_shifted(acc: dict, terms: dict, c, shift: Monomial) -> None:
     """acc += c * x^shift * terms, in place, dropping zero coefficients."""
     for m, v in terms.items():
         key = tuple(map(add, m, shift))
+        s = acc.get(key, 0) + c * v
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+
+
+def _add_shifted_words(acc: dict, terms: dict, c, shift: int) -> None:
+    """_add_shifted for dicts keyed by the words of one WordFormat, shift
+    being the format's shift of the monomial."""
+    for w, v in terms.items():
+        key = w + shift
         s = acc.get(key, 0) + c * v
         if s:
             acc[key] = s
@@ -174,6 +189,7 @@ class LaurentPoly:
     def __init__(self, ring: Ring, terms: dict):
         clean = {}
         n = ring.nvars
+        zz = ring.domain == ZZ
         for mono, coeff in terms.items():
             mono = tuple(mono)
             if len(mono) != n:
@@ -183,7 +199,7 @@ class LaurentPoly:
                     raise ValueError(f"non-integer exponent in {mono}")
                 if e < 0 and not ring.laurent:
                     raise ValueError(f"negative exponent in {mono} outside a Laurent ring")
-            c = ring.coerce(coeff)
+            c = coeff if zz and type(coeff) is int else ring.coerce(coeff)
             if c:
                 clean[mono] = c
         object.__setattr__(self, "ring", ring)
@@ -467,6 +483,47 @@ def _var_name(prefix: str, i: int, nvars: int) -> str:
     return f"{prefix}{i + 1}"
 
 
+class WordFormat:
+    """Exponent vectors of a Laurent ring packed into one int word each,
+    for a loop whose every exponent the caller can prove at most bound in
+    size.
+
+    Variable i has a field of width bits at bit i * width, holding
+    e_i + bound in [0, 2 * bound], so no field of such a loop's words
+    overflows.  The word of x^m is one + shift(m), shift(m) being the same
+    sum without the bias: a word times x^m is the word plus m's shift, one
+    int addition.  Word order means nothing; words are only dict keys.
+    """
+
+    def __init__(self, ring: Ring, bound: int):
+        if not ring.laurent:
+            raise ValueError("packed words need a Laurent ring")
+        self.ring = ring
+        self._bound = bound
+        width = max((2 * bound).bit_length(), 1)
+        self._mask = (1 << width) - 1
+        self._fields = range(0, ring.nvars * width, width)
+        self.one = self.shift((bound,) * ring.nvars)
+
+    def shift(self, m: Monomial) -> int:
+        """What multiplying by x^m adds to a word."""
+        return sum(map(lshift, m, self._fields))
+
+    def unpack(self, w: int) -> Monomial:
+        mask, bound = self._mask, self._bound
+        return tuple((w >> at & mask) - bound for at in self._fields)
+
+    def shifts(self, terms: dict) -> dict:
+        """A term dict keyed by shifts: the multipliers of a product by it."""
+        return {self.shift(m): c for m, c in terms.items()}
+
+    def poly(self, words: dict) -> LaurentPoly:
+        """The polynomial of a term dict keyed by this format's words, its
+        coefficients nonzero and of the ring's domain, as the word kernel
+        leaves them."""
+        return LaurentPoly._trusted(self.ring, {self.unpack(w): c for w, c in words.items()})
+
+
 @dataclass(frozen=True)
 class HomogPoly:
     """Homogeneous polynomial in n+1 variables z0..zn, with checked degree."""
@@ -571,9 +628,10 @@ def laurent_normalize(p: LaurentPoly) -> tuple[LaurentPoly, Monomial]:
         raise ValueError("cannot normalize the zero polynomial")
     n = p.ring.nvars
     u = tuple(p.min_exponent(i) for i in range(n))
-    out = {mono_div(m, u): c for m, c in p.term_dict().items()}
-    q = LaurentPoly(Ring(n, False, p.ring.domain), out)
-    return q, u
+    # a shift of a canonical dict is canonical, and it leaves no exponent
+    # below 0
+    out = {mono_div(m, u): c for m, c in p._terms.items()}
+    return LaurentPoly._trusted(Ring(n, False, p.ring.domain), out), u
 
 
 def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strongpoly import (
@@ -76,10 +76,10 @@ def leibniz_det(rows, ring):
 
 
 @st.composite
-def small_matrices(draw):
+def small_matrices(draw, max_exp=2):
     nvars = draw(st.integers(1, 2))
     nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(1, 5))
-    entry = poly_st(nvars, laurent=True, max_exp=2, max_terms=3, max_coeff=5)
+    entry = poly_st(nvars, laurent=True, max_exp=max_exp, max_terms=3, max_coeff=5)
     rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
     return ModulePresentation(Ring(nvars, True, ZZ), tuple(map(tuple, rows)), ncols)
 
@@ -163,10 +163,11 @@ class TestElementaryIdeals:
         with pytest.raises(ResourceBudgetExceeded):
             elementary_ideal(big, 8)
 
-    @given(small_matrices())
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_matrices(), small_matrices(max_exp=1000)))
+    @settings(max_examples=100, deadline=None)
     def test_generators_are_the_nonzero_minors(self, m):
-        # the rank is the largest size with a nonzero Leibniz minor
+        # the rank is the largest size with a nonzero Leibniz minor; wide
+        # exponents fill the packed words' fields out to their bound
         rank = 0
         for k in range(m.ncols + 2):
             size = max(m.ncols - k, 0)
@@ -400,11 +401,27 @@ def braid_words(draw):
     return draw(st.lists(letter, max_size=4 * strands)), strands
 
 
+@st.composite
+def long_braid_words(draw):
+    """Up to 200 letters on 2-4 strands, as at most four powers of single
+    crossings: their Artin images grow slowly enough to check, and a power
+    moves some exponent about as far as the word length, the bound of the
+    Burau pass's packed words."""
+    strands = draw(st.integers(2, 4))
+    blocks = draw(st.lists(
+        st.tuples(st.integers(1, strands - 1), st.sampled_from((1, -1)), st.integers(1, 50)),
+        min_size=1, max_size=4,
+    ))
+    return [g * sign for g, sign, power in blocks for _ in range(power)], strands
+
+
 class TestBraidClosures:
-    @given(braid_words())
+    @given(st.one_of(braid_words(), long_braid_words()))
+    @example(([1] * 6 + [-3] * 4 + [5] * 2 + [2] * 2 + [-7] * 8 + [9] * 2 + [11] * 4 + [13] * 2, 14))
     @settings(max_examples=150, deadline=None)
     def test_burau_pass_matches_fox_calculus(self, case):
-        # the Fox rows of beta(x_j) x_j^-1, differentiated letter by letter
+        # the Fox rows of beta(x_j) x_j^-1, differentiated letter by letter;
+        # the example's closure has 14 components, one variable each
         word, strands = case
         count, color = braid_components(word, strands)
         ring = Ring(count, True, ZZ)
@@ -425,6 +442,15 @@ class TestBraidClosures:
         assert braid_components([1] * 20001, 2) == (1, (0, 0))
         assert braid_components([1, -2] * 9999, 3) == (3, (0, 1, 2))
         assert time.perf_counter() - start < 1
+
+    def test_burau_budget_is_quick_with_many_components(self):
+        # every key is one packed int, however many closure components
+        # (here 100) the ring has, so the cap is reached in well under 2 s
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetExceeded) as err:
+            braid_to_presentation([-1] * 20000, 100)
+        assert err.value.kind == "braid-words"
+        assert time.perf_counter() - start < 2
 
     def test_component_counts(self):
         assert braid_components([1], 2)[0] == 1

@@ -1,7 +1,7 @@
 """Exact Laurent polynomial arithmetic and normal forms."""
 
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,7 @@ from strongpoly import (
     monomial_substitute,
     power_substitute,
 )
-from strongpoly.ring import _mul_terms
+from strongpoly.ring import WordFormat, _add_shifted_words, _mul_terms
 
 from conftest import mk, nonzero_poly_st, poly_st
 
@@ -163,12 +163,13 @@ class TestArithmetic:
     @given(st.sampled_from([ZZ, QQ]), st.booleans(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_kernel_results_match_their_checked_construction(self, domain, laurent, data):
-        # +, unary - and * build their results without the checks of
-        # __init__; running those checks on the result changes nothing
+        # +, unary -, * and laurent_normalize build their results without
+        # the checks of __init__; running those checks on the result changes
+        # nothing
         p, q = (data.draw(poly_st(laurent=laurent)).to_domain(domain) for _ in range(2))
         if domain == QQ:
             q = q.scale(Fraction(2, 3))
-        for r in (p + q, -p, p * q):
+        for r in (p + q, -p, p * q, *(laurent_normalize(p)[:1] if p else ())):
             checked = LaurentPoly(r.ring, r.term_dict())
             assert checked == r
             assert checked.term_dict() == r.term_dict()
@@ -289,6 +290,36 @@ class TestHomogenization:
     @settings(max_examples=30, deadline=None)
     def test_round_trip_property(self, p):
         assert at_z0_one(homogenize(p)) == p
+
+
+class TestWordFormat:
+    @pytest.mark.parametrize("bound", [0, 1, 2, 7, 1000])
+    def test_fields_hold_the_bound_at_both_ends(self, bound):
+        words = WordFormat(Ring(3, True, ZZ), bound)
+        for m in product((-bound, 0, bound), repeat=3):
+            assert words.unpack(words.one + words.shift(m)) == m
+
+    @given(term_dict_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_word_products_match_the_tuple_kernel(self, pair):
+        # f keyed by words, g by shifts, in a format whose bound covers f
+        # and the product: the word kernel makes the tuple kernel's terms
+        f, g = pair
+        expected = _mul_terms(f, g)
+        nvars = len(next(iter({**f, **g}), (0,)))
+        bound = max((abs(e) for m in [*f, *expected] for e in m), default=0)
+        words = WordFormat(Ring(nvars, True, ZZ), bound)
+        keyed = {words.one + words.shift(m): c for m, c in f.items()}
+        out: dict = {}
+        for m, c in words.shifts(g).items():
+            _add_shifted_words(out, keyed, c, m)
+        r = words.poly(out)
+        assert r.term_dict() == expected
+        assert typed_terms(r) == typed_terms(LaurentPoly(r.ring, expected))
+
+    def test_needs_a_laurent_ring(self):
+        with pytest.raises(ValueError):
+            WordFormat(R2, 1)
 
 
 class TestLaurentNormalize:
