@@ -300,6 +300,16 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
+    def _parse_optional(self, arg_string):
+        # a token with one leading dash that names none of this parser's
+        # options, such as the polynomial "-12*x2", is an argument, where
+        # argparse would call it an unknown option; -h stays an option, and
+        # an unknown --flag stays an error
+        if arg_string[:1] == "-" and arg_string[:2] != "--":
+            if arg_string not in self._option_string_actions:
+                return None
+        return super()._parse_optional(arg_string)
+
 
 def _budget(text: str) -> int:
     try:

@@ -10,19 +10,12 @@ budget, the basis cap MAX_BASIS and the reduction-work cap
 MAX_REDUCTION_WORK, and raises ResourceBudgetExceeded instead of running
 away.
 
-Inside a run each monomial of n variables is one int word (_Words): its
-total degree in the top field, then its exponents e_0, ..., e_{n-1}, each
-field FIELD_BITS = 32 bits wide (Bachmann and Schoenemann, ISSAC 1998).
-Int order on words is then graded lex order, so the normal form's heap holds
-negated words; a monomial times another is their words' sum; a divides b
-exactly when no field of b - a borrows, which the top bit of each field, a
-guard bit, shows; and the lcm is a fieldwise max made by the same guard
-bits.  These hold while every field stays below 2^31, which holds while the
-total degree does, since no field exceeds it.  So a run raises
-ResourceBudgetExceeded of kind gb-degree for an input monomial or a pair
-lcm of total degree 2^31 or more, the one check that keeps every word
-exact.  Words are made from the input dicts and turned back into tuples for
-the LaurentPoly results and for the Hilbert-driven bookkeeping below.
+Inside a run each monomial is one int word of ring.WordFormat, ordered by
+graded lex (Bachmann and Schoenemann, ISSAC 1998), so the normal form's
+heap holds negated words.  The format's bound MAX_WORD_DEGREE - 1 makes its
+words exact while the total degree stays below MAX_WORD_DEGREE = 2^31, so a
+run raises ResourceBudgetExceeded of kind gb-degree for an input monomial
+or a pair lcm of that degree or more.
 
 only_trivial_solution asks whether homogeneous f_1, ..., f_m in n variables
 have only the trivial common zero, that is, whether I = <f_1, ..., f_m>
@@ -98,6 +91,8 @@ from .ring import (
     QQ,
     LaurentPoly,
     Ring,
+    WordFormat,
+    _add_shifted_words,
     _embed_vars,
     _primitive_terms,
 )
@@ -156,11 +151,9 @@ class GroebnerBasis:
 # -- packed monomials -----------------------------------------------------
 
 
-# Width of one field of a word; its top bit is a guard bit, always 0 in a
-# word, so an exponent or a total degree must stay below MAX_WORD_DEGREE.
-FIELD_BITS = 32
-FIELD_MASK = (1 << FIELD_BITS) - 1
-MAX_WORD_DEGREE = 1 << (FIELD_BITS - 1)
+# A run's words are exact while every total degree stays below this; with
+# MAX_WORD_DEGREE - 1 as its bound, a WordFormat's fields are 32 bits wide.
+MAX_WORD_DEGREE = 1 << 31
 
 
 def _degree_exceeded(deg: int) -> ResourceBudgetExceeded:
@@ -169,56 +162,25 @@ def _degree_exceeded(deg: int) -> ResourceBudgetExceeded:
     )
 
 
-class _Words:
-    """Monomials in n variables packed into one int word each.
+def _word_format(nvars: int) -> WordFormat:
+    return WordFormat(Ring(nvars, False, QQ), MAX_WORD_DEGREE - 1)
 
-    The word of x^e is deg << n*FIELD_BITS | e_0 << (n-1)*FIELD_BITS | ...
-    | e_{n-1}, deg being the total degree: int order on words is graded lex
-    order, and the word of a product is the sum of the words.  Each field's
-    guard bit stays 0 while the total degree stays below MAX_WORD_DEGREE,
-    since no field exceeds it; pack and lcm raise ResourceBudgetExceeded
-    (kind gb-degree) for a monomial that reaches it.
-    """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.top = n * FIELD_BITS
-        self.guard = sum(1 << (k * FIELD_BITS + FIELD_BITS - 1) for k in range(n + 1))
-        self.exponents = (1 << self.top) - 1
-        # times a word's exponent fields, this puts their sum (below 2^32,
-        # so no field carries) in the field above them
-        self._degree_sum = sum(1 << (k * FIELD_BITS) for k in range(1, n + 1))
-        self._shifts = range(self.top - FIELD_BITS, -1, -FIELD_BITS)
-
-    def pack(self, m) -> int:
-        w = sum(m)
-        if w >= MAX_WORD_DEGREE:
-            raise _degree_exceeded(w)
-        for e in m:
-            w = w << FIELD_BITS | e
-        return w
-
-    def unpack(self, w: int) -> tuple:
-        return tuple(w >> s & FIELD_MASK for s in self._shifts)
-
-    def pack_terms(self, d: dict) -> dict:
-        return {self.pack(m): c for m, c in d.items()}
-
-    def divides(self, a: int, b: int) -> bool:
-        """Whether the monomial a divides b: no field of b - a borrows."""
-        return not (b - a) & self.guard
-
-    def lcm(self, a: int, b: int) -> int:
-        """The word of the lcm, by a fieldwise max: the guard bits of
-        (a | guard) - b mark the fields where a is the larger, and one
-        multiplication spreads each mark over its field."""
-        guard = self.guard
-        a_larger = (((a | guard) - b) & guard) >> (FIELD_BITS - 1)
-        e = (b ^ ((a ^ b) & a_larger * FIELD_MASK)) & self.exponents
-        deg = (e * self._degree_sum) >> self.top & FIELD_MASK
+def _pack(words: WordFormat, d: dict) -> dict:
+    """The word-keyed dict of a tuple-keyed one, each monomial's word being
+    its shift in an ordinary ring, after the check that keeps it exact."""
+    for deg in map(sum, d):
         if deg >= MAX_WORD_DEGREE:
             raise _degree_exceeded(deg)
-        return deg << self.top | e
+    return words.shifts(d)
+
+
+def _pair_lcm(words: WordFormat, a: int, b: int) -> int:
+    """The lcm of two leads' words, after the check that keeps it exact."""
+    L = words.lcm(a, b)
+    if L >> words.top >= MAX_WORD_DEGREE:
+        raise _degree_exceeded(L >> words.top)
+    return L
 
 
 # -- integer term-dict plumbing ------------------------------------------
@@ -255,7 +217,7 @@ class _Reducers:
     only be tested against the triples appended since.
     """
 
-    def __init__(self, triples, words: _Words, p: int = 0):
+    def __init__(self, triples, words: WordFormat, p: int = 0):
         self.triples = list(triples)
         self.words = words
         self.p = p
@@ -349,16 +311,9 @@ def _spoly(f, g, L: int) -> dict:
     f_lm, f_lc, f_terms = f
     g_lm, g_lc, g_terms = g
     m = abs(f_lc * g_lc) // math.gcd(f_lc, g_lc)
-    a, shift = m // f_lc, L - f_lm
-    out = {k + shift: a * c for k, c in f_terms.items()}
-    a, shift = m // g_lc, L - g_lm
-    for k, c in g_terms.items():
-        key = k + shift
-        s = out.get(key, 0) - a * c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+    out: dict = {}
+    _add_shifted_words(out, f_terms, m // f_lc, L - f_lm)
+    _add_shifted_words(out, g_terms, -(m // g_lc), L - g_lm)
     return out
 
 
@@ -491,7 +446,7 @@ def _complete(
     number h_d, and returns False at the first complete degree with more.
     """
     reducers, words = red.triples, red.words
-    guard, top, lcm = words.guard, words.top, words.lcm
+    guard, top = words.guard, words.top
     powers: set[int] = set()
 
     def settles(lm) -> bool:
@@ -499,7 +454,7 @@ def _complete(
         used = [i for i, e in enumerate(lm) if e]
         if len(used) == 1:
             powers.add(used[0])
-        return len(powers) == words.n
+        return len(powers) == words.ring.nvars
 
     leads = [words.unpack(lm) for lm, _, _ in reducers]
     if cap is not None and any(map(settles, leads)):
@@ -509,7 +464,7 @@ def _complete(
     handled: set[tuple[int, int]] = set()
 
     def push_pair(i: int, j: int):
-        L = lcm(reducers[i][0], reducers[j][0])
+        L = _pair_lcm(words, reducers[i][0], reducers[j][0])
         if cap is None or L >> top <= cap:
             heapq.heappush(pairs, (L, i, j))
 
@@ -568,27 +523,25 @@ def buchberger(I: IdealBasis, budgets: Budgets = Budgets()) -> GroebnerBasis:
     generator order (reduced bases are unique), which regression tests rely
     on.
     """
-    ring = Ring(I.ring.nvars, False, QQ)
-    words = _Words(ring.nvars)
+    words = _word_format(I.ring.nvars)
     # one (lm, lc, terms) triple per basis element; elements never change
     red = _Reducers(
-        (_reducer(words.pack_terms(d)) for d in (_to_int_dict(g) for g in I.generators) if d),
+        (_reducer(_pack(words, d)) for d in (_to_int_dict(g) for g in I.generators) if d),
         words,
     )
     if not red.triples:
-        return GroebnerBasis(ring, ())
+        return GroebnerBasis(words.ring, ())
     _complete(red, budgets.max_pairs)
     reduced = tuple(_interreduce(red))
     polys = tuple(
-        LaurentPoly(ring, {words.unpack(m): Fraction(c, lc) for m, c in terms.items()})
-        for _, lc, terms in reduced
+        words.poly({m: Fraction(c, lc) for m, c in terms.items()}) for _, lc, terms in reduced
     )
     # sanity: every input generator must reduce to zero against the output
     check = _Reducers(reduced, words)
     for g in I.generators:
-        if _normal_form(words.pack_terms(_to_int_dict(g)), check):
+        if _normal_form(_pack(words, _to_int_dict(g)), check):
             raise AssertionError("input generator does not reduce to zero")
-    return GroebnerBasis(ring, polys)
+    return GroebnerBasis(words.ring, polys)
 
 
 def radical_member(f: LaurentPoly, I: IdealBasis) -> bool:
@@ -619,8 +572,8 @@ def _trivial_zero_only(gens: list[dict], nvars: int, max_pairs: int, p: int = 0)
         return True  # a nonzero constant: the unit ideal has no zero at all
     if len(degrees) < nvars:
         return False
-    words = _Words(nvars)
-    red = _Reducers((_reducer(words.pack_terms(d), p) for d in gens), words, p)
+    words = _word_format(nvars)
+    red = _Reducers((_reducer(_pack(words, d), p) for d in gens), words, p)
     hilbert = None
     if len(degrees) == nvars:
         red.meter.spend(sum(degrees) - nvars + 1)  # the length of the h-vector

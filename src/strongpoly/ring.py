@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, lshift, sub
+from operator import add, le, mul, sub
 from typing import Iterable, Iterator
 
 from .errors import ResourceBudgetExceeded
@@ -83,11 +83,12 @@ def grlex_key(m: Monomial):
 # Term dicts map exponent tuples to nonzero coefficients.  Every product of
 # such dicts in the package, by another dict or by a monomial, runs through
 # _add_shifted, every exact division through _div_terms and every content
-# strip through _primitive_terms.  Two kinds of loop key their dicts by one
-# int per monomial instead: alexander's colored Burau pass and cofactor
-# expansion, through the WordFormat below and its shifted update
-# _add_shifted_words, and Buchberger's loops in groebner.py, which keep
-# their own word layout and shifts.
+# strip through _primitive_terms.  Loops that make many products before
+# they build a result key their dicts by the int words of one WordFormat
+# below instead, and make their products through the shifted update
+# _add_shifted_words: alexander's colored Burau pass and cofactor expansion,
+# and Buchberger's S-polynomials in groebner.py, whose normal form adds the
+# same shifts in a loop of its own that also heaps each new word.
 
 
 def _mul_terms(f: dict, g: dict) -> dict:
@@ -484,38 +485,61 @@ def _var_name(prefix: str, i: int, nvars: int) -> str:
 
 
 class WordFormat:
-    """Exponent vectors of a Laurent ring packed into one int word each,
-    for a loop whose every exponent the caller can prove at most bound in
-    size.
+    """Exponent vectors of a ring packed into one int word each, for a loop
+    whose every exponent the caller can prove at most bound in size.
 
-    Variable i has a field of width bits at bit i * width, holding
-    e_i + bound in [0, 2 * bound], so no field of such a loop's words
-    overflows.  The word of x^m is one + shift(m), shift(m) being the same
-    sum without the bias: a word times x^m is the word plus m's shift, one
-    int addition.  Word order means nothing; words are only dict keys.
+    Each variable has a field holding e_i + bias, the bias being bound in a
+    Laurent ring and 0 in an ordinary one, and wide enough for that sum
+    plus a guard bit on top that stays 0.  e_0 takes the most significant
+    field, and above all of them the degree field, w >> top, holds their
+    sum; so int order on words is graded lex order, in both kinds of ring.
+    The word of x^m is one + shift(m), shift(m) being the same sum without
+    the bias: a word times x^m is the word plus m's shift, one int
+    addition.  In an ordinary ring one is 0, so a monomial's shift is also
+    its word.  The guard bits decide divisibility and make the lcm.
     """
 
     def __init__(self, ring: Ring, bound: int):
-        if not ring.laurent:
-            raise ValueError("packed words need a Laurent ring")
         self.ring = ring
-        self._bound = bound
-        width = max((2 * bound).bit_length(), 1)
+        n = ring.nvars
+        self._bias = bound if ring.laurent else 0
+        self._width = width = (self._bias + bound).bit_length() + 1
         self._mask = (1 << width) - 1
-        self._fields = range(0, ring.nvars * width, width)
-        self.one = self.shift((bound,) * ring.nvars)
+        self.top = n * width
+        self._fields = range(self.top - width, -1, -width)
+        self._units = tuple((1 << at) + (1 << self.top) for at in self._fields)
+        self.guard = sum(1 << (at + width - 1) for at in self._fields)
+        # times a word's fields, this puts their sum in the degree field
+        self._degree_sum = sum(1 << (at + width) for at in self._fields)
+        self.one = self.shift((self._bias,) * n)
 
     def shift(self, m: Monomial) -> int:
         """What multiplying by x^m adds to a word."""
-        return sum(map(lshift, m, self._fields))
+        return sum(map(mul, m, self._units))
 
     def unpack(self, w: int) -> Monomial:
-        mask, bound = self._mask, self._bound
-        return tuple((w >> at & mask) - bound for at in self._fields)
+        mask, bias = self._mask, self._bias
+        return tuple((w >> at & mask) - bias for at in self._fields)
 
     def shifts(self, terms: dict) -> dict:
         """A term dict keyed by shifts: the multipliers of a product by it."""
         return {self.shift(m): c for m, c in terms.items()}
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the monomial of a divides that of b in the ordinary
+        sense: no field of b - a borrows."""
+        return not (b - a) & self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """The word of the fieldwise max of a and b.  The guard bits of
+        (a | guard) - b mark the fields where a is the larger, and one
+        multiplication spreads each mark over its field.  The degree field
+        is their sum while it stays below 2^width, as it does when the
+        degree fields of a and b sum below that."""
+        guard, top = self.guard, self.top
+        a_larger = (((a | guard) - b) & guard) >> (self._width - 1)
+        e = (b ^ ((a ^ b) & a_larger * self._mask)) & ((1 << top) - 1)
+        return ((e * self._degree_sum) >> top & self._mask) << top | e
 
     def poly(self, words: dict) -> LaurentPoly:
         """The polynomial of a term dict keyed by this format's words, its
@@ -572,13 +596,9 @@ def power_substitute(p: LaurentPoly, t: Iterable[int]) -> LaurentPoly:
     for ti in t:
         if not isinstance(ti, int) or ti == 0:
             raise ValueError(f"substitution exponents must be nonzero integers, got {ti}")
-    out = {}
-    for m, c in p.term_dict().items():
-        out[tuple(e * ti for e, ti in zip(m, t))] = c
-    ring = p.ring
-    if not ring.laurent and any(e < 0 for m in out for e in m):
-        ring = ring.laurent_version()
-    return LaurentPoly(ring, out)
+    n = len(t)
+    images = [(0,) * i + (ti,) + (0,) * (n - 1 - i) for i, ti in enumerate(t)]
+    return monomial_substitute(p, images, n)
 
 
 def monomial_substitute(
@@ -597,12 +617,11 @@ def monomial_substitute(
             raise ValueError(f"image {v} has wrong arity for {nvars_out} variables")
         if not any(v):
             raise ValueError("monomial image must be a nonzero exponent vector")
+    # exponent j of a term's image is its exponents dotted with column j
+    cols = list(zip(*imgs)) if imgs else [()] * nvars_out
     out: dict = {}
     for m, c in p.term_dict().items():
-        acc = (0,) * nvars_out
-        for e, v in zip(m, imgs):
-            if e:
-                acc = tuple(a + e * b for a, b in zip(acc, v))
+        acc = tuple([sum(map(mul, m, col)) for col in cols])
         s = out.get(acc, 0) + c
         if s:
             out[acc] = s

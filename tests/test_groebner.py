@@ -20,7 +20,7 @@ from strongpoly import (
 )
 from strongpoly import groebner
 from strongpoly.groebner import MAX_WORD_DEGREE, PRIME, radical_member
-from strongpoly.ring import grlex_key, mono_divides
+from strongpoly.ring import WordFormat, grlex_key, mono_divides
 from strongpoly.strongcheck import criterion_system
 
 from conftest import nonzero_poly_st, reduces_to_zero
@@ -138,6 +138,10 @@ def exponents(n):
     )
 
 
+def buchberger_words(n):
+    return WordFormat(Ring(n, False, QQ), MAX_WORD_DEGREE - 1)
+
+
 class TestWords:
     @given(
         st.integers(1, 6).flatmap(
@@ -146,15 +150,17 @@ class TestWords:
     )
     @settings(max_examples=300, deadline=None)
     def test_words_follow_the_monomials(self, monos):
+        # an ordinary ring's words are their shifts, so Buchberger packs by
+        # shift after its degree check
         a, b = monos
-        words = groebner._Words(len(a))
+        words = buchberger_words(len(a))
         for m in monos:
             if sum(m) >= MAX_WORD_DEGREE:
                 with pytest.raises(ResourceBudgetExceeded) as info:
-                    words.pack(m)
+                    groebner._pack(words, {m: 1})
                 assert info.value.kind == "gb-degree"
         assume(max(sum(a), sum(b)) < MAX_WORD_DEGREE)
-        wa, wb = words.pack(a), words.pack(b)
+        wa, wb = words.shift(a), words.shift(b)
         assert (words.unpack(wa), words.unpack(wb)) == (a, b)
         assert (wa < wb) == (grlex_key(a) < grlex_key(b))
         assert (wa == wb) == (a == b)
@@ -162,11 +168,25 @@ class TestWords:
         assert words.divides(wb, wa) == mono_divides(b, a)
         lcm = tuple(map(max, a, b))
         if sum(lcm) < MAX_WORD_DEGREE:
-            assert words.lcm(wa, wb) == words.lcm(wb, wa) == words.pack(lcm)
+            assert words.lcm(wa, wb) == words.lcm(wb, wa) == words.shift(lcm)
         else:
             with pytest.raises(ResourceBudgetExceeded) as info:
-                words.lcm(wa, wb)
+                groebner._pair_lcm(words, wa, wb)
             assert info.value.kind == "gb-degree"
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[exponents(n)] * n)))
+    @settings(max_examples=300, deadline=None)
+    def test_words_keep_the_32_bit_layout(self, m):
+        # deg << 32n | e_0 << 32(n-1) | ... | e_{n-1}, the layout Buchberger
+        # has packed since its words began
+        assume(sum(m) < MAX_WORD_DEGREE)
+        words = buchberger_words(len(m))
+        old = sum(m)
+        for e in m:
+            old = old << 32 | e
+        assert words.one == 0
+        assert words.shift(m) == old
+        assert words.top == 32 * len(m)
 
     def test_degree_past_the_word_limit_is_a_budget(self):
         R2 = Ring(2, False, QQ)

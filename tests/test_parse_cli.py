@@ -394,6 +394,27 @@ class TestExitCodes:
         assert cli.main(argv) == 3
         assert capsys.readouterr().err.startswith("input error: ")
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["check-irred", "-12*x2", "--laurent", "--vars", "2"], 1),
+            (["check-irred", "-x1"], 0),
+            (["check-coprime", "-x1", "x2 + 2"], 2),
+        ],
+    )
+    def test_one_term_negative_polynomial_is_an_argument(self, argv, code, capsys):
+        # a token that names no option of the subcommand is its polynomial,
+        # read as it is after "--"
+        command, *rest = argv
+        options = [a for a in rest if a.startswith("--") or a.isdigit()]
+        polys = [a for a in rest if a not in options]
+        assert cli.main([command, *options, "--", *polys]) == code
+        escaped = capsys.readouterr()
+        assert cli.main(argv) == code
+        assert capsys.readouterr() == escaped
+        if code == 1:
+            assert escaped.out == 'status: REFUTED\nwitness: {"factors": ["-2*x2", "2", "3"]}\n'
+
     def test_budget_flags_are_applied(self, capsys):
         # a linear form's criterion system is decided before any S-pair, so
         # the budget needs a form whose system takes S-pairs

@@ -317,9 +317,25 @@ class TestWordFormat:
         assert r.term_dict() == expected
         assert typed_terms(r) == typed_terms(LaurentPoly(r.ring, expected))
 
-    def test_needs_a_laurent_ring(self):
-        with pytest.raises(ValueError):
-            WordFormat(R2, 1)
+    @given(st.integers(1, 4), st.integers(0, 1000), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_laurent_word_order_is_graded_lex(self, n, bound, data):
+        monomial = st.tuples(*[st.integers(-bound, bound)] * n)
+        a, b = data.draw(monomial), data.draw(monomial)
+        words = WordFormat(Ring(n, True, ZZ), bound)
+        wa, wb = words.one + words.shift(a), words.one + words.shift(b)
+        assert (words.unpack(wa), words.unpack(wb)) == (a, b)
+        assert (wa < wb) == (grlex_key(a) < grlex_key(b))
+        assert (wa == wb) == (a == b)
+        assert words.divides(wa, wb) == all(x <= y for x, y in zip(a, b))
+
+    def test_ordinary_ring_has_no_bias(self):
+        # fields of width 2 for exponents up to 1, and the degree field above
+        words = WordFormat(R2, 1)
+        assert words.one == 0
+        assert words.shift((1, 0)) == 0b01_01_00
+        assert words.shift((1, 1)) == 0b10_01_01
+        assert words.unpack(words.shift((0, 1))) == (0, 1)
 
 
 class TestLaurentNormalize:

@@ -60,6 +60,32 @@ def test_unchecked_constructor_stays_in_ring():
     assert found == []
 
 
+# the methods of a class that packs monomials into words
+WORD_METHODS = {"pack", "unpack", "shift", "shifts"}
+
+
+def test_word_layout_stays_in_ring():
+    # ring.WordFormat is the package's one packed monomial layout: no other
+    # class packs or unpacks monomials, and no module has field widths or
+    # masks of its own (a MAX_ cap on bits is a cap on input)
+    found = []
+    for path in sorted(Path(strongpoly.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            (path.name, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and WORD_METHODS & {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        ]
+        found += [
+            (path.name, name)
+            for stmt in tree.body
+            for name in _defined_names(stmt)
+            if re.fullmatch(r"(?!MAX_)[A-Z_]*(BITS|MASK|WIDTH)", name)
+        ]
+    assert found == [("ring.py", "WordFormat")]
+
+
 def test_content_gcd_stays_in_poly_gcd():
     # poly_gcd returns the gcd with the shared integer content, so only it
     # takes a gcd of .content() results; a caller that patches content back
