@@ -196,9 +196,12 @@ def _minor_ideal(words: WordFormat, minors) -> IdealBasis:
 
 def canonical_associate(p: LaurentPoly) -> LaurentPoly:
     """Distinguished associate: no monomial factor, integer-primitive,
-    positive graded-lex leading coefficient.  Returned in the ordinary ring."""
+    positive graded-lex leading coefficient.  Returned in the ordinary ring.
+    Defined over ZZ only, as integer content is."""
+    if p.ring.domain != ZZ:
+        raise ValueError("canonical associates are defined over ZZ")
     if p.is_zero():
-        return LaurentPoly.zero(p.ring.ordinary_version())
+        return p.to_ordinary()
     q, _ = laurent_normalize(p)
     return LaurentPoly(q.ring, _primitive_terms(q.term_dict()))
 

@@ -25,6 +25,7 @@ from .parse import (
     parse_exponent_pairs,
     parse_matrix_json,
     parse_polynomial,
+    parse_polynomials,
 )
 from .ring import LaurentPoly, Ring
 from .strongcheck import (
@@ -63,17 +64,6 @@ def _encode(obj):
     return obj
 
 
-def _parse_shared(texts, laurent: bool, nvars=None) -> list[LaurentPoly]:
-    """Parse several polynomials into one common ring."""
-    first = [parse_polynomial(t, laurent=laurent) for t in texts]
-    n = max(p.ring.nvars for p in first)
-    if nvars is not None:
-        if nvars < n:
-            raise ValueError(f"--vars {nvars} is below the largest variable index {n}")
-        n = nvars
-    return [parse_polynomial(t, nvars=n, laurent=laurent) for t in texts]
-
-
 def _budgets(args) -> Budgets:
     """Budgets from the budget flags a subcommand declares (each flag's
     dest is a Budgets field); flags not given keep their defaults."""
@@ -91,7 +81,7 @@ def _poly_or_family(args) -> LaurentPoly:
     if args.family and args.k is not None:
         return _family_member(args)
     if args.poly and not args.family:
-        return _parse_shared([args.poly], True, args.vars)[0]
+        return parse_polynomial(args.poly, args.vars, laurent=True)
     raise ValueError(f"{args.subcommand} needs a polynomial or both --family and --k")
 
 
@@ -108,24 +98,24 @@ def _read_stdin_json():
 
 
 def _cmd_check_irred(args):
-    (p,) = _parse_shared([args.poly], args.laurent, args.vars)
+    p = parse_polynomial(args.poly, args.vars, args.laurent)
     return is_irreducible(p, _budgets(args))
 
 
 def _cmd_check_strong_irred(args):
-    (p,) = _parse_shared([args.poly], args.laurent, args.vars)
+    p = parse_polynomial(args.poly, args.vars, args.laurent)
     return check_strongly_irreducible(p, _budgets(args))
 
 
 def _cmd_check_coprime(args):
-    p, q = _parse_shared([args.p, args.q], args.laurent, args.vars)
+    p, q = parse_polynomials([args.p, args.q], args.vars, args.laurent)
     return check_strongly_coprime(p, q, _budgets(args))
 
 
 def _cmd_check_vector_coprime(args):
     left = [t.strip() for t in args.p.split(";")]
     right = [t.strip() for t in args.q.split(";")]
-    polys = _parse_shared(left + right, args.laurent, args.vars)
+    polys = parse_polynomials(left + right, args.vars, args.laurent)
     P = PolyVector(tuple(polys[: len(left)]))
     Q = PolyVector(tuple(polys[len(left):]))
     return check_vector_coprime(P, Q, _budgets(args))
@@ -162,12 +152,9 @@ def _cmd_divisorial_hull(args):
     if not isinstance(texts, list):
         raise ValueError('divisorial-hull reads {"vars": n, "generators": [...]} from stdin')
     ring = Ring(n, laurent=False)
-    gens = []
-    for text in texts:
-        g = parse_polynomial(str(text), nvars=n, laurent=True)
-        if not g.is_zero():
-            gens.append(alexander.canonical_associate(g).to_ordinary())
-    hull = alexander.divisorial_hull(IdealBasis(ring, tuple(gens)))
+    polys = parse_polynomials([str(text) for text in texts], nvars=n, laurent=True)
+    gens = tuple(alexander.canonical_associate(g) for g in polys if not g.is_zero())
+    hull = alexander.divisorial_hull(IdealBasis(ring, gens))
     return {"hull": hull.to_text()}, [f"hull: {hull.to_text()}"], 0
 
 
@@ -234,7 +221,7 @@ def _cmd_verify_ribbon(args):
 
 
 def _cmd_blanchfield_witness(args):
-    p, f = _parse_shared([args.p, args.f], True, args.vars)
+    p, f = parse_polynomials([args.p, args.f], args.vars, laurent=True)
     value = alexander.blanchfield_self_link_witness(p, f)
     result = {
         "numerator": value.numerator.to_text(),
@@ -250,7 +237,7 @@ def _cmd_blanchfield_witness(args):
 
 
 def _cmd_reduce_ideal(args):
-    p, q = _parse_shared([args.p, args.q], True, args.vars)
+    p, q = parse_polynomials([args.p, args.q], args.vars, laurent=True)
     ideal = localize.LocalizedIdeal(p, q, parse_exponent_pairs(args.gens))
     res = localize.reduce_localized_ideal(ideal)
     principal = localize.verify_principality(ideal, res)

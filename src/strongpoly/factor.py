@@ -35,6 +35,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
+from operator import mul
 
 from . import verdict
 from .errors import Budgets, Meter, ResourceBudgetExceeded
@@ -496,14 +497,40 @@ def _require_zz(p: LaurentPoly):
         raise ValueError("factorization is implemented over ZZ")
 
 
-def _poly_from_dense(coeffs: list, ring: Ring, var: int) -> LaurentPoly:
+def _dense_image(p: LaurentPoly, weights: dict, point: dict) -> list:
+    """Trimmed dense coefficients of p's image in Z[y]: x_v -> y^weights[v]
+    for each weighted v, x_v -> the integer point[v] for the others p uses.
+    p is ordinary; this is the one place a dense list is allocated."""
+    ws = [weights.get(v, 0) for v in range(p.ring.nvars)]
+    out = [0] * (sum(p.degree_in(v) * w for v, w in weights.items()) + 1)
+    for m, c in p.term_dict().items():
+        for v, e in enumerate(m):
+            if e and v not in weights:
+                c *= point[v] ** e
+        out[sum(map(mul, m, ws))] += c
+    return _uv_trim(out)
+
+
+def _lift(coeffs: list, ring: Ring, weights: dict, degs: dict) -> LaurentPoly | None:
+    """The polynomial of ring whose _dense_image under the weights
+    1 < D < D^2 < ... is coeffs, each exponent of y read in base D; None
+    when an exponent passes its variable's bound in degs."""
+    order = sorted(weights, key=weights.get, reverse=True)
     terms = {}
     for e, c in enumerate(coeffs):
         if c:
             mono = [0] * ring.nvars
-            mono[var] = e
+            for v in order:
+                mono[v], e = divmod(e, weights[v])
+                if mono[v] > degs[v]:
+                    return None
             terms[tuple(mono)] = c
     return LaurentPoly(ring, terms)
+
+
+def _main_variable(p: LaurentPoly) -> int:
+    """p's variable of least degree, the least index among ties."""
+    return min(p.used_vars(), key=lambda v: (p.degree_in(v), v))
 
 
 def univariate_factor(p: LaurentPoly) -> list[LaurentPoly]:
@@ -513,12 +540,12 @@ def univariate_factor(p: LaurentPoly) -> list[LaurentPoly]:
     used = p.used_vars()
     if p.ring.laurent or len(used) != 1 or p.content() != 1:
         raise ValueError("univariate_factor needs a primitive ordinary polynomial in one variable")
-    var = used[0]
-    dense = _eval_partial(p, var, {})
+    weights, degs = {used[0]: 1}, {used[0]: p.total_degree()}
+    dense = _dense_image(p, weights, {})
     pairs = _uv_factor_primitive(_uv_primitive(dense))
     out = []
     for g, m in pairs:
-        out += [_poly_from_dense(g, p.ring, var)] * m
+        out += [_lift(g, p.ring, weights, degs)] * m
     out.sort(key=lambda f: (f.total_degree(), f.to_text()))
     if dense[-1] < 0:
         out[0] = -out[0]
@@ -747,19 +774,6 @@ _IMAGE_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 )
 
 
-def _eval_partial(p: LaurentPoly, main: int, point: dict) -> list:
-    """Dense coefficients of p in the main variable at an integer point."""
-    out = [0] * (p.degree_in(main) + 1)
-    for m, c in p.term_dict().items():
-        val = c
-        for i, e in enumerate(m):
-            if i == main or not e:
-                continue
-            val *= point[i] ** e
-        out[m[main]] += val
-    return _uv_trim(out)
-
-
 def _specialization_proved(p: LaurentPoly) -> bool:
     """Try to certify irreducibility by a degree-preserving specialization.
 
@@ -771,9 +785,8 @@ def _specialization_proved(p: LaurentPoly) -> bool:
     That is exact: _uv_factor_primitive is deterministic and its budgets are
     per call, so a recorded outcome is the one a second call would give.
     """
-    used = p.used_vars()
-    main = min(used, key=lambda v: (p.degree_in(v), v))
-    others = [v for v in used if v != main]
+    main = _main_variable(p)
+    others = [v for v in p.used_vars() if v != main]
     dmain = p.degree_in(main)
     values = (1, -1, 2, -2, 3, -3, 0)
     attempts = 0
@@ -781,7 +794,7 @@ def _specialization_proved(p: LaurentPoly) -> bool:
         if attempts >= SPEC_POINTS:
             break
         point = dict(zip(others, combo))
-        dense = _eval_partial(p, main, point)
+        dense = _dense_image(p, {main: 1}, point)
         if _uv_deg(dense) != dmain:
             continue
         attempts += 1
@@ -815,45 +828,23 @@ def _image_irreducible(prim: list) -> bool:
 def _kronecker_split(p: LaurentPoly, max_degree: int):
     """A split (g, h) with g * h == p, or None when p is irreducible; raises
     ResourceBudgetExceeded when a budget runs out first."""
-    used = p.used_vars()
-    degs = {v: p.degree_in(v) for v in used}
+    degs = {v: p.degree_in(v) for v in p.used_vars()}
     D = 2 * max(degs.values()) + 1
-    weight = {}
-    acc = 1
-    for v in used:
-        weight[v] = acc
-        acc *= D
-    total = sum(degs[v] * weight[v] for v in used)
+    weights = {v: D**i for i, v in enumerate(degs)}
+    total = sum(degs[v] * weights[v] for v in degs)
     if total > max_degree:
         raise ResourceBudgetExceeded("kronecker", f"kronecker image degree {total} exceeds budget")
-    dense = [0] * (total + 1)
-    for m, c in p.term_dict().items():
-        dense[sum(m[v] * weight[v] for v in used)] += c
-    dense = _uv_trim(dense)
+    dense = _dense_image(p, weights, {})
     pairs = _uv_factor_primitive(_uv_primitive(dense))
     items = []
     for g, mult in pairs:
         items.extend([g] * mult)
     if len(items) > MAX_KRON_ITEMS:
         raise ResourceBudgetExceeded("kronecker", f"{len(items)} kronecker factors exceed budget")
-    nv = p.ring.nvars
 
     def lift(combo):
-        gd = _uv_prod(items[idx] for idx in combo)
-        terms = {}
-        for e, c in enumerate(gd):
-            if not c:
-                continue
-            mono = [0] * nv
-            rest = e
-            for v in reversed(used):
-                mono[v], rest = divmod(rest, weight[v])
-                if mono[v] > degs[v]:
-                    return None
-            key = tuple(mono)
-            terms[key] = terms.get(key, 0) + c
-        cand = LaurentPoly(p.ring, terms)
-        if cand.is_constant() or cand.total_degree() == p.total_degree():
+        cand = _lift(_uv_prod(items[idx] for idx in combo), p.ring, weights, degs)
+        if cand is None or cand.is_constant() or cand.total_degree() == p.total_degree():
             return None
         quo = exact_divide(p, cand)
         return None if quo is None else (cand, quo)
@@ -916,8 +907,7 @@ def is_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> Verdict:
     if q.total_degree() == 1:
         return verdict.proved("degree-1")
 
-    main = min(used, key=lambda v: (q.degree_in(v), v))
-    cont_v, pp = _split_content(q.term_dict(), main, _gcd_meter())
+    cont_v, pp = _split_content(q.term_dict(), _main_variable(q), _gcd_meter())
     cont_v = LaurentPoly(q.ring, cont_v)
     if not cont_v.is_unit():
         return verdict.refuted({"factors": with_unit([cont_v, LaurentPoly(q.ring, pp)])})

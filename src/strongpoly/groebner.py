@@ -278,11 +278,10 @@ def _normal_form(fdict: dict, red: _Reducers) -> dict:
         g_lc, shifted = hit
         b = lc  # mod p the reducer is monic
         if not p:
+            # g_lc > 0: _primitive_terms made each reducer's lead positive
             g = math.gcd(lc, g_lc)
             a = g_lc // g
             b = lc // g
-            if a < 0:
-                a, b = -a, -b
             if a != 1:
                 for k in f:
                     f[k] *= a

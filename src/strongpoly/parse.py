@@ -228,33 +228,45 @@ class _PolyParser:
         raise ParseError("expected a coefficient, variable, or '('", t.line, t.col)
 
 
-def parse_polynomial(text: str, nvars: int | None = None, laurent: bool = False) -> LaurentPoly:
-    """Parse the grammar above into a polynomial.
+def parse_polynomials(texts, nvars: int | None = None, laurent: bool = False) -> list[LaurentPoly]:
+    """Parse each text of the grammar above once, into one common ring.
 
-    The variable count is the largest index mentioned unless nvars pads it
-    higher.  Integer coefficients give a ZZ-domain polynomial; a fractional
-    coefficient switches the domain to QQ.  Raises
-    ResourceBudgetExceeded("parse") past MAX_TERM_PAIRS or MAX_COEFF_BITS.
+    The variable count is the largest index any text mentions unless nvars
+    pads it higher.  The domain is ZZ unless a fractional coefficient in any
+    text makes it QQ.  Raises ResourceBudgetExceeded("parse") past
+    MAX_TERM_PAIRS or MAX_COEFF_BITS.
     """
-    tokens = _tokenize(text)
-    if tokens[0].kind == "END":
-        raise ParseError("empty input", tokens[0].line, tokens[0].col)
-    mentioned = max((int(t.text[1:]) for t in tokens if t.kind == "VAR"), default=0)
+    streams = []
+    for text in texts:
+        tokens = _tokenize(text)
+        if tokens[0].kind == "END":
+            raise ParseError("empty input", tokens[0].line, tokens[0].col)
+        streams.append(tokens)
+    mentioned = max((int(t.text[1:]) for ts in streams for t in ts if t.kind == "VAR"), default=0)
     n = mentioned if nvars is None else max(mentioned, nvars)
     if n > MAX_VARS:
         raise ValueError(f"{n} variables are more than {MAX_VARS}")
-    parser = _PolyParser(tokens, laurent, n)
-    terms = parser.parse_expr()
-    end = parser.peek()
-    if end.kind != "END":
-        raise ParseError(f"unexpected {end.text!r}", end.line, end.col)
+    parsed = []
+    for tokens in streams:
+        parser = _PolyParser(tokens, laurent, n)
+        terms = parser.parse_expr()
+        end = parser.peek()
+        if end.kind != "END":
+            raise ParseError(f"unexpected {end.text!r}", end.line, end.col)
+        if (bits := _height(terms).bit_length()) > MAX_COEFF_BITS:
+            raise ResourceBudgetExceeded("parse", f"a {bits}-bit coefficient is over {MAX_COEFF_BITS}")
+        parsed.append(terms)
     if nvars is not None and nvars < mentioned:
         raise ValueError(f"polynomial mentions x{mentioned} but only {nvars} variables allowed")
-    if (bits := _height(terms).bit_length()) > MAX_COEFF_BITS:
-        raise ResourceBudgetExceeded("parse", f"a {bits}-bit coefficient is over {MAX_COEFF_BITS}")
-    rational = any(isinstance(c, Fraction) and c.denominator != 1 for c in terms.values())
+    rational = any(c.denominator != 1 for terms in parsed for c in terms.values())
+    # a ZZ ring turns whole fractions such as 4/2 into ints
     ring = Ring(n, laurent=laurent, domain="QQ" if rational else "ZZ")
-    return LaurentPoly(ring, terms if rational else {m: int(c) for m, c in terms.items()})
+    return [LaurentPoly(ring, terms) for terms in parsed]
+
+
+def parse_polynomial(text: str, nvars: int | None = None, laurent: bool = False) -> LaurentPoly:
+    """The one polynomial of text, as parse_polynomials reads it."""
+    return parse_polynomials([text], nvars, laurent)[0]
 
 
 _BRAID_RE = re.compile(r"s(\d+)(?:\^(-?\d+))?$")
@@ -333,12 +345,10 @@ def parse_matrix_json(data: dict):
         raise ValueError(f"vars must be from 1 to {MAX_VARS}")
     if not isinstance(matrix, list) or any(not isinstance(row, list) for row in matrix):
         raise ValueError('"matrix" must be an array of arrays')
-    ring = Ring(nvars, laurent=True)
-    rows = []
-    for row in matrix:
-        rows.append(
-            tuple(parse_polynomial(str(entry), nvars=nvars, laurent=True) for entry in row)
-        )
+    entries = parse_polynomials([str(e) for row in matrix for e in row], nvars, laurent=True)
+    ring = entries[0].ring if entries else Ring(nvars, laurent=True)
+    flat = iter(entries)
+    rows = [tuple(next(flat) for _ in row) for row in matrix]
     if rows:
         ncols = len(rows[0])
     else:

@@ -531,11 +531,14 @@ class WordFormat:
         return not (b - a) & self.guard
 
     def lcm(self, a: int, b: int) -> int:
-        """The word of the fieldwise max of a and b.  The guard bits of
+        """The word of the fieldwise max of a and b, in an ordinary format
+        whose degree fields of a and b sum below 2^width.  The guard bits of
         (a | guard) - b mark the fields where a is the larger, and one
-        multiplication spreads each mark over its field.  The degree field
-        is their sum while it stays below 2^width, as it does when the
-        degree fields of a and b sum below that."""
+        multiplication spreads each mark over its field and puts the
+        fields' sum, below that bound too, in the degree field.  A Laurent
+        format's biased fields pass the bound, so it raises ValueError."""
+        if self.ring.laurent:
+            raise ValueError("lcm needs an ordinary format")
         guard, top = self.guard, self.top
         a_larger = (((a | guard) - b) & guard) >> (self._width - 1)
         e = (b ^ ((a ^ b) & a_larger * self._mask)) & ((1 << top) - 1)

@@ -329,6 +329,43 @@ class TestMultivariate:
         v = is_irreducible(q, Budgets(max_kron_degree=4))
         assert v.details == {"detail": "kronecker image degree 24 exceeds budget"}
 
+    def test_kronecker_proves_when_every_image_splits(self):
+        # each nonzero point of -3..3 is a root of the product, so every
+        # specialization in x2 is x1^2 - c^2, a difference of squares, and
+        # the image at 0 drops the x2 term; the Kronecker lift finds no split
+        start = time.perf_counter()
+        p = parse_polynomial("x1^2 - x2^2 - x2*(x2^2 - 1)*(x2^2 - 4)*(x2^2 - 9)")
+        v = is_irreducible(p)
+        assert (v.status, v.rule) == (PROVED, "kronecker")
+        assert time.perf_counter() - start < 5
+
+    @given(nonzero_poly_st(nvars=3, max_exp=3, max_terms=5))
+    @settings(max_examples=60, deadline=None)
+    def test_kronecker_image_lifts_back(self, q):
+        # D-adic weights over the used variables, D > 2 * the largest degree,
+        # read the image's exponents back digit by digit
+        degs = {v: q.degree_in(v) for v in q.used_vars()}
+        assume(degs)
+        D = 2 * max(degs.values()) + 1
+        weights = {v: D**i for i, v in enumerate(degs)}
+        image = factor._dense_image(q, weights, {})
+        assert factor._lift(image, q.ring, weights, degs) == q
+        tight = {v: d - 1 for v, d in degs.items()}
+        assert factor._lift(image, q.ring, weights, tight) is None
+
+    @given(nonzero_poly_st(nvars=3, max_exp=3, max_terms=5), st.tuples(*[st.integers(-3, 3)] * 3))
+    @settings(max_examples=60, deadline=None)
+    def test_specialization_image_is_the_evaluation(self, p, values):
+        point = dict(enumerate(values))
+        for main in range(3):
+            image = factor._dense_image(p, {main: 1}, point)
+            expected = [0] * (max(p.degree_in(main), 0) + 1)
+            for m, c in p.term_dict().items():
+                expected[m[main]] += c * math.prod(
+                    values[v] ** e for v, e in enumerate(m) if v != main
+                )
+            assert image == factor._uv_trim(expected)
+
     @given(
         nonzero_poly_st(nvars=2, max_exp=2, max_terms=3, max_coeff=4),
         nonzero_poly_st(nvars=2, max_exp=2, max_terms=3, max_coeff=4),

@@ -30,8 +30,8 @@ from strongpoly import (
     parse_matrix_json,
     parse_polynomial,
 )
-from strongpoly import cli, factor
-from strongpoly.parse import MAX_VARS, parse_exponent_pairs
+from strongpoly import cli, factor, parse
+from strongpoly.parse import MAX_VARS, parse_exponent_pairs, parse_polynomials
 
 from conftest import mk, nonzero_poly_st
 
@@ -61,6 +61,23 @@ class TestPolynomialGrammar:
             parse_polynomial(f"x{MAX_VARS + 1}")
         with pytest.raises(ValueError, match="variables are more than"):
             parse_polynomial("x1", nvars=MAX_VARS + 1)
+
+    def test_polynomials_share_one_ring(self):
+        p, q = parse_polynomials(["1 + x1", "x3"])
+        assert p.ring == q.ring == Ring(3, False, ZZ)
+        assert q == mk(3, {(0, 0, 1): 1})
+        assert {p.ring.nvars for p in parse_polynomials(["x1", "x2"], nvars=4)} == {4}
+        with pytest.raises(ValueError, match="mentions x3 but only 2"):
+            parse_polynomials(["x1", "x3"], nvars=2)
+        assert parse_polynomials(["x2 - 1"], laurent=True) == [parse_polynomial("x2 - 1", laurent=True)]
+        assert parse_polynomials([]) == []
+
+    def test_a_fraction_in_any_text_makes_all_rational(self):
+        p, q = parse_polynomials(["x2 + 1", "1/2*x1"], laurent=True)
+        assert p.ring == q.ring == Ring(2, True, QQ)
+        assert p == mk(2, {(0, 1): 1, (0, 0): 1}, laurent=True, domain=QQ)
+        assert q.coeff((1, 0)) == Fraction(1, 2)
+        assert {p.ring.domain for p in parse_polynomials(["x1", "4/2"])} == {ZZ}
 
     def test_rational_coefficients_switch_domain(self):
         p = parse_polynomial("1/2*x1 + 1")
@@ -167,6 +184,13 @@ class TestMatrixJson:
         assert m.ncols == 3 and m.nrows == 0
         with pytest.raises(ValueError):
             parse_matrix_json({"vars": 2, "matrix": []})
+
+    def test_entries_share_one_ring(self):
+        m = parse_matrix_json({"vars": 2, "matrix": [["x1", "0"], ["x2^-1", "3"]]})
+        assert {e.ring for row in m.rows for e in row} == {m.ring} == {Ring(2, True, ZZ)}
+        # a fraction makes every entry rational, which a presentation refuses
+        with pytest.raises(ValueError, match="integral Laurent ring"):
+            parse_matrix_json({"vars": 2, "matrix": [["x1", "1/2"]]})
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -463,6 +487,65 @@ class TestExitCodes:
         assert cli.main(argv) == 3
         assert capsys.readouterr().err.startswith("input error: ")
 
+    @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            # strong coprimality: "ring mismatch" and "vector entries must
+            # share a ring" when only one side had a fraction
+            (["check-coprime", "1/2*x1 + 1", "x1 + x2"], None,
+             "strong coprimality checks run over ZZ"),
+            (["check-vector-coprime", "1/2 + x1; x2", "x1 - x2; 3 + x1"], None,
+             "strong coprimality checks run over ZZ"),
+            # presentations: "entry ring mismatch"
+            (["elementary-ideal", "--k", "0", "--stdin"],
+             {"vars": 2, "matrix": [["1/2*x1", "0"], ["x2 - 1", "x1"]]},
+             "presentations live over an integral Laurent ring"),
+            (["torsion-alex", "--stdin"], {"vars": 1, "matrix": [["x1^2 - 1/2"]]},
+             "presentations live over an integral Laurent ring"),
+            # a TypeError in the generators' content, exit 5
+            (["divisorial-hull", "--stdin"], {"vars": 1, "generators": ["1/2*x1 + 1", "x1"]},
+             "canonical associates are defined over ZZ"),
+            # the Blanchfield pairing and the localized reduction: "f must
+            # live in the same ring as p" and "primes must share a ring"
+            (["blanchfield-witness", "--p", "1 + x1 - x2", "--f", "1/2*x1"], None,
+             "factorization is implemented over ZZ"),
+            (["reduce-ideal", "--p", "1 + x1 - x2", "--q", "1/2 + x1*x2", "--gens", "1,3;2,1"],
+             None, "factorization is implemented over ZZ"),
+        ],
+        ids=["check-coprime", "check-vector-coprime", "elementary-ideal", "torsion-alex",
+             "divisorial-hull", "blanchfield-witness", "reduce-ideal"],
+    )
+    def test_a_fraction_reaches_the_integer_check_and_is_three(self, argv, data, message,
+                                                               monkeypatch, capsys):
+        # a command's polynomials share one ring, rational once any of them
+        # has a fraction, so the command's own integers-only check reports it
+        if data is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_each_polynomial_is_tokenized_once(self, monkeypatch, capsys):
+        calls = []
+        tokenize = parse._tokenize
+
+        def counted(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(parse, "_tokenize", counted)
+        assert cli.main(["check-coprime", "1 + x1 - x2", "1 + x3", "--vars", "3"]) == 0
+        assert calls == ["1 + x1 - x2", "1 + x3"]
+
+    def test_positive_box_refutation_is_one(self, capsys):
+        # --max-k 1 leaves the uniform power k = 1, where x1^2 - x2 stays
+        # irreducible; the box's exponents (1, 2) split it
+        assert cli.main(["check-strong-irred", "x1^2 - x2", "--max-k", "1"]) == 1
+        assert capsys.readouterr().out == (
+            'status: REFUTED\n'
+            'witness: {"exponents": [1, 2], "factors": ["x1 + x2", "x1 - x2"]}\n'
+            'details: {"substitutions_tried": 2}\n'
+        )
+
     def test_recombination_budget_is_four(self, capsys):
         # x^200 + 4 splits into so many factors mod the Zassenhaus prime
         # that the subset search runs out of trials
@@ -540,6 +623,15 @@ class _RanTooLong(BaseException):
 
 FUZZ_TOKENS = ["x1", "x2", "x3", "x0", "x3000", *"0123456789", "+", "-", "*", "^", "^-", "(", ")", "/"]
 FUZZ_SECONDS = 10
+# the commands that read JSON from stdin: their flags, and the JSON they are
+# fed, built from the fuzzed texts
+FUZZ_STDIN = {
+    "divisorial-hull": (["--stdin"], lambda texts: {"vars": 3, "generators": texts}),
+    "elementary-ideal": (
+        ["--k", "0", "--stdin"], lambda texts: {"vars": 3, "matrix": [[t] for t in texts]}
+    ),
+    "torsion-alex": (["--stdin"], lambda texts: {"vars": 3, "matrix": [[t] for t in texts]}),
+}
 
 
 class TestFuzz:
@@ -547,7 +639,8 @@ class TestFuzz:
     # exponent of many digits still builds a dense list that long (ROADMAP
     # item 4)
     @given(
-        st.sampled_from(["check-irred", "check-strong-irred", "check-coprime", "slice-poly"]),
+        st.sampled_from(["check-irred", "check-strong-irred", "check-coprime", "slice-poly",
+                         *FUZZ_STDIN]),
         st.lists(
             st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1, max_size=8).map(" ".join),
             min_size=2,
@@ -557,10 +650,18 @@ class TestFuzz:
     )
     # used to run for minutes: the coprimality catalog of 3000 variables
     @example("check-coprime", ["x3000", "x1 + 2"], False)
+    # used to exit 5: the generators' content was taken over Q
+    @example("divisorial-hull", ["1 / 2 * x1 + 1", "x1"], False)
     @settings(max_examples=800, deadline=None)
     def test_exit_codes_stay_in_the_taxonomy(self, command, texts, laurent):
-        argv = [command, *texts[: 2 if command == "check-coprime" else 1]]
-        argv += ["--laurent"] if laurent else []
+        stdin = sys.stdin
+        if command in FUZZ_STDIN:
+            flags, data = FUZZ_STDIN[command]
+            argv = [command, *flags]
+            sys.stdin = io.StringIO(json.dumps(data(texts)))
+        else:
+            argv = [command, *texts[: 2 if command == "check-coprime" else 1]]
+            argv += ["--laurent"] if laurent else []
 
         def ran_too_long(signum, frame):
             raise _RanTooLong
@@ -575,7 +676,8 @@ class TestFuzz:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert code in (0, 1, 2, 3, 4), argv
+            sys.stdin = stdin
+        assert code in (0, 1, 2, 3, 4), (argv, texts)
 
 
 class TestReports:

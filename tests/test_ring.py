@@ -22,6 +22,7 @@ from strongpoly import (
     monomial_substitute,
     power_substitute,
 )
+from strongpoly.groebner import MAX_WORD_DEGREE
 from strongpoly.ring import WordFormat, _add_shifted_words, _mul_terms
 
 from conftest import mk, nonzero_poly_st, poly_st
@@ -221,6 +222,12 @@ class TestCalculusAndContent:
         assert canonical_associate(p) == canonical_associate(-p) == pp
         assert mk(2, {}).content() == 0
 
+    def test_canonical_associate_is_defined_over_z_only(self):
+        # as content is: a fraction used to reach math.gcd as a TypeError
+        for terms in ({(1, 0): Fraction(1, 2), (0, 0): 1}, {}):
+            with pytest.raises(ValueError):
+                canonical_associate(mk(2, terms, domain=QQ))
+
     def test_sign_normalized(self):
         p = mk(2, {(2, 0): -1, (0, 0): 5})
         assert p.sign_normalized().leading_coefficient() == 1
@@ -336,6 +343,24 @@ class TestWordFormat:
         assert words.shift((1, 0)) == 0b01_01_00
         assert words.shift((1, 1)) == 0b10_01_01
         assert words.unpack(words.shift((0, 1))) == (0, 1)
+
+    def test_lcm_is_refused_in_a_laurent_format(self):
+        # biased fields: (3, 3, 3) and (-3, 3, 2) sit at 6, 6, 6 and 0, 6, 5,
+        # whose lcm's field sum 18 passes the 4-bit degree field
+        words = WordFormat(Ring(3, True, ZZ), 3)
+        a, b = (words.one + words.shift(m) for m in ((3, 3, 3), (-3, 3, 2)))
+        with pytest.raises(ValueError):
+            words.lcm(a, b)
+
+    def test_lcm_is_exact_in_an_ordinary_format_at_the_groebner_bound(self):
+        # two leads of degree MAX_WORD_DEGREE - 1 give an lcm of degree
+        # 2^32 - 2, the largest the 32-bit degree field must hold
+        top = MAX_WORD_DEGREE - 1
+        words = WordFormat(Ring(3, False, QQ), top)
+        for a, b in [((top, 0, 0), (0, top, 0)), ((top - 5, 5, 0), (0, 7, top - 7))]:
+            lcm = tuple(map(max, a, b))
+            assert words.lcm(words.shift(a), words.shift(b)) == words.shift(lcm)
+            assert words.unpack(words.lcm(words.shift(a), words.shift(b))) == lcm
 
 
 class TestLaurentNormalize:

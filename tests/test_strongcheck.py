@@ -74,6 +74,14 @@ class TestStronglyIrreducible:
         k = check_refutation_reassembles(p, v)
         assert k == (2, 2)
 
+    def test_positive_box_refutes_past_the_uniform_powers(self):
+        # x1^2 - x2 stays irreducible at the one uniform power k = 1, and
+        # the box's (1, 2) makes it x1^2 - x2^2
+        p = parse_polynomial("x1^2 - x2")
+        v = check_strongly_irreducible(p, Budgets(uniform_max=1))
+        assert check_refutation_reassembles(p, v) == (1, 2)
+        assert [f.to_text() for f in v.witness["factors"]] == ["x1 + x2", "x1 - x2"]
+
     def test_difference_refuted(self):
         p = mk(2, {(1, 0): 1, (0, 0): -1})
         check_refutation_reassembles(p, check_strongly_irreducible(p))
