@@ -314,6 +314,8 @@ def _count(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is below 0")
     if value > MAX_VARS:
         raise argparse.ArgumentTypeError(f"{value} is more than {MAX_VARS}")
     return value
@@ -336,7 +338,7 @@ def _add_budget_flags(sub, *flags):
 def _add_common(sub, vars_flag=True):
     sub.add_argument("--laurent", action="store_true", help="allow negative exponents")
     if vars_flag:
-        sub.add_argument("--vars", type=int, help="pad the variable count")
+        sub.add_argument("--vars", type=_count, help="pad the variable count")
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
 
 

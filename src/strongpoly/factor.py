@@ -693,12 +693,11 @@ def _split_content(d: dict, v: int, meter: Meter) -> tuple[dict, dict]:
     """(content, primitive part) of d viewed univariately in v; the
     primitive part is d itself when the content is one."""
     cont: dict = {}
-    for e in range(_deg_in(d, v) + 1):
+    for e in sorted({m[v] for m in d}):
         ce = _coeff_in(d, v, e)
-        if ce:
-            cont = _dict_gcd(cont, ce, meter) if cont else _primitive_terms(ce)
-            if _is_dict_one(cont):
-                return cont, d
+        cont = _dict_gcd(cont, ce, meter) if cont else _primitive_terms(ce)
+        if _is_dict_one(cont):
+            return cont, d
     pp = _div_terms(d, cont)
     if pp is None:
         raise RuntimeError("content does not divide its polynomial")

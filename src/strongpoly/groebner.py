@@ -93,7 +93,6 @@ from .ring import (
     Ring,
     WordFormat,
     _add_shifted_words,
-    _embed_vars,
     _primitive_terms,
 )
 
@@ -554,7 +553,8 @@ def radical_member(f: LaurentPoly, I: IdealBasis) -> bool:
         raise ValueError("variable count mismatch")
     n = I.ring.nvars
     ext = Ring(n + 1, False, QQ)
-    gens = [_embed_vars(g, range(n), n + 1).to_domain(QQ) for g in I.generators]
+    gens = [LaurentPoly(ext, {m + (0,): c for m, c in g.term_dict().items()})
+            for g in I.generators]
     aux = {m + (1,): -c for m, c in _to_int_dict(f).items()}
     aux[(0,) * (n + 1)] = 1
     gens.append(LaurentPoly(ext, aux))

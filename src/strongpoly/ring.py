@@ -634,12 +634,6 @@ def monomial_substitute(
     return LaurentPoly(Ring(nvars_out, laurent, p.ring.domain), out)
 
 
-def _embed_vars(p: LaurentPoly, positions: Iterable[int], nvars_out: int) -> LaurentPoly:
-    """p in nvars_out variables, its variable i renamed to positions[i]."""
-    units = [tuple(int(j == v) for j in range(nvars_out)) for v in positions]
-    return monomial_substitute(p, units, nvars_out)
-
-
 def laurent_normalize(p: LaurentPoly) -> tuple[LaurentPoly, Monomial]:
     """Split p = q * x^u with q ordinary and no variable dividing q.
 
@@ -652,7 +646,7 @@ def laurent_normalize(p: LaurentPoly) -> tuple[LaurentPoly, Monomial]:
     u = tuple(p.min_exponent(i) for i in range(n))
     # a shift of a canonical dict is canonical, and it leaves no exponent
     # below 0
-    out = {mono_div(m, u): c for m, c in p._terms.items()}
+    out = {mono_div(m, u): c for m, c in p._terms.items()} if any(u) else p._terms
     return LaurentPoly._trusted(Ring(n, False, p.ring.domain), out), u
 
 

@@ -16,12 +16,16 @@ the checker is a trichotomy:
   UNDECIDED the criterion failed and a bounded refutation search over
             uniform powers and a small positive box found nothing.
 
-The refutation search checks each substitution with factor.is_irreducible,
-and many substitutions specialize to the same univariate image (at the
-all-ones point, q(x^t) gives g(y^{t_main}) whatever the other exponents
-are).  So each search sets factor._IMAGE_MEMO to a fresh dict on entry and
-resets it on exit, and factor._specialization_proved factors each distinct
-image once per search.  Nothing is remembered from one search to the next.
+The criterion runs on p with its monomial unit stripped and its unused
+variables dropped.  The refutation search substitutes into p itself, with
+exponent 1 on the unused variables, and hands each p(x^t) whole to
+factor.is_irreducible, the one owner of the monomial unit: it divides
+x^(u*t) out and puts it back on the first factor of a refutation.  Many
+substitutions specialize to the same univariate image (at the all-ones
+point, q(x^t) gives g(y^{t_main}) whatever the other exponents are).  So
+each search sets factor._IMAGE_MEMO to a fresh dict on entry and resets it
+on exit, and factor._specialization_proved factors each distinct image once
+per search.  Nothing is remembered from one search to the next.
 
 Strong irreducibility is invariant under the bar involution (inverting
 all variables permutes the substitution instances), but the criterion
@@ -51,7 +55,6 @@ from .ring import (
     HomogPoly,
     LaurentPoly,
     Ring,
-    _embed_vars,
     homogenize,
     laurent_normalize,
     monomial_substitute,
@@ -142,21 +145,17 @@ def check_strongly_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> 
         raise ValueError("strong irreducibility checks run over ZZ")
     if p.is_zero():
         raise ValueError("zero polynomial")
-    q_full, unit_mono = laurent_normalize(p)
-    if q_full.is_constant() and abs(q_full.constant_value()) == 1:
+    q, used = _compress(laurent_normalize(p)[0])
+    if q.is_constant() and abs(q.constant_value()) == 1:
         raise ValueError("Laurent unit: strong irreducibility is undefined for units")
-
-    q, used = _compress(q_full)
     m = q.ring.nvars
     notes: dict = {}
 
     if m == 0:
-        inner = is_irreducible(q, budgets)
+        inner = is_irreducible(p.to_laurent(), budgets)
         if inner.is_proved:
             return inner
-        t_full = (1,) * p.ring.nvars
-        factors = _ambient_factors(inner.witness["factors"], (), p, t_full, unit_mono)
-        return verdict.refuted({"exponents": t_full, "factors": factors})
+        return _refuted(p, (1,) * p.ring.nvars, inner.witness["factors"])
 
     if m >= 2:
         # bar is x_i -> 1/x_i; it permutes the power substitutions, so a
@@ -173,13 +172,10 @@ def check_strongly_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> 
     else:
         notes["univariate"] = True
 
-    refutation, search_notes = _refutation_search(q, budgets)
+    refutation, search_notes = _refutation_search(p, used, budgets)
     notes.update(search_notes)
     if refutation is not None:
-        t, factors = refutation
-        t_full = tuple(t[used.index(v)] if v in used else 1 for v in range(p.ring.nvars))
-        ambient = _ambient_factors(factors, used, p, t_full, unit_mono)
-        return verdict.refuted({"exponents": t_full, "factors": ambient}, **notes)
+        return _refuted(p, *refutation, **notes)
     if "resource" in notes:
         return verdict.undecided(f"resource-{notes['resource']}", **notes)
     if m < 2:
@@ -187,35 +183,27 @@ def check_strongly_irreducible(p: LaurentPoly, budgets: Budgets = Budgets()) -> 
     return verdict.undecided("criterion-failed-no-witness", **notes)
 
 
-def _ambient_factors(
-    factors: list[LaurentPoly],
-    used: tuple[int, ...],
-    p: LaurentPoly,
-    t_full: tuple[int, ...],
-    unit_mono: tuple[int, ...],
-) -> list[LaurentPoly]:
-    """Lift witness factors to p's ring so they multiply to p(x^t) exactly."""
-    ring = p.ring
-    out = []
-    for f in factors:
-        g = _embed_vars(f, used, ring.nvars)
-        if ring.laurent:
-            g = g.to_laurent()
-        out.append(g)
-    shifted = tuple(u * t for u, t in zip(unit_mono, t_full))
-    if any(shifted):
-        out[0] = out[0].mul_monomial(shifted)
-    return out
+def _refuted(p: LaurentPoly, t: tuple[int, ...], factors: list[LaurentPoly], **notes) -> Verdict:
+    """REFUTED by is_irreducible's factors of p(x^t), moved to p's ring."""
+    if not p.ring.laurent:
+        factors = [f.to_ordinary() for f in factors]
+    return verdict.refuted({"exponents": t, "factors": factors}, **notes)
 
 
-def _refutation_search(q: LaurentPoly, budgets: Budgets):
-    """Look for t with q(x^t) reducible; q ordinary, primitive in each var.
+def _refutation_search(p: LaurentPoly, used: tuple[int, ...], budgets: Budgets):
+    """Look for t with p(x^t) reducible up to units; used lists the
+    variables p's non-unit part depends on.
 
-    Returns ((t, factors) | None, notes).  Uniform powers come first since
-    one reducible uniform power already settles the question; then a
-    positive box in lexicographic order, capped.
+    Returns ((t, factors) | None, notes).  Every t is positive and has
+    t_v = 1 on the unused variables.  Each substitution goes whole to
+    is_irreducible, which divides out its monomial unit and puts it back on
+    the first factor, so the factors multiply to p(x^t) in p's Laurent
+    ring.  Uniform powers come first since one reducible uniform power
+    already settles the question; then a positive box in lexicographic
+    order, capped.
     """
-    m = q.ring.nvars
+    p = p.to_laurent()
+    n = p.ring.nvars
     notes: dict = {"substitutions_tried": 0}
     seen = set()
 
@@ -224,9 +212,8 @@ def _refutation_search(q: LaurentPoly, budgets: Budgets):
             return None
         seen.add(t)
         notes["substitutions_tried"] += 1
-        sub = power_substitute(q, t)
         try:
-            v = is_irreducible(sub, budgets)
+            v = is_irreducible(power_substitute(p, t), budgets)
         except ResourceBudgetExceeded as exc:
             notes.setdefault("search_resource", exc.kind)
             return None
@@ -241,17 +228,16 @@ def _refutation_search(q: LaurentPoly, budgets: Budgets):
     token = _IMAGE_MEMO.set({})
     try:
         for k in range(1, budgets.uniform_max + 1):
-            t = (k,) * m
+            t = tuple(k if v in used else 1 for v in range(n))
             factors = try_t(t)
             if factors is not None:
                 return (t, factors), notes
-        if m >= 2:
-            count = 0
-            for t in itertools.product(range(1, BOX_MAX + 1), repeat=m):
+        if len(used) >= 2:
+            box = [range(1, BOX_MAX + 1) if v in used else (1,) for v in range(n)]
+            for count, t in enumerate(itertools.product(*box)):
                 if count >= MAX_BOX_CANDIDATES:
                     notes["box_truncated"] = True
                     break
-                count += 1
                 factors = try_t(t)
                 if factors is not None:
                     return (t, factors), notes
@@ -263,26 +249,21 @@ def _refutation_search(q: LaurentPoly, budgets: Budgets):
 # -- strong coprimality ----------------------------------------------------
 
 
-def _image_catalog(m: int, nvars_out: int) -> list[tuple[tuple[int, ...], ...]]:
+def _image_catalog(m: int) -> list[tuple[tuple[int, ...], ...]]:
     """Small catalog of linearly independent monomial-image tuples.
 
-    Each entry is a tuple of m exponent vectors of length nvars_out.
+    Each entry is a tuple of m exponent vectors of length m.
     Identity first, then permutations, then diagonal powers: composing a
     unimodular change of coordinates on the outside never changes gcd
     triviality, so only genuinely different lattices are worth listing.
     """
     def diag(t):
-        return tuple(
-            tuple(t[i] if j == i else 0 for j in range(nvars_out)) for i in range(m)
-        )
+        return tuple(tuple(t[i] if j == i else 0 for j in range(m)) for i in range(m))
 
     out = [diag((1,) * m)]
     if m <= 4:
         for perm in itertools.permutations(range(m)):
-            img = tuple(
-                tuple(1 if j == perm[i] else 0 for j in range(nvars_out))
-                for i in range(m)
-            )
+            img = tuple(tuple(1 if j == perm[i] else 0 for j in range(m)) for i in range(m))
             if img not in out:
                 out.append(img)
     for k in (2, 3):
@@ -331,7 +312,7 @@ def check_strongly_coprime(p: LaurentPoly, q: LaurentPoly, budgets: Budgets = Bu
             notes[f"side_{label}_not_certified"] = sub.status
 
     m = p.ring.nvars
-    catalog = _image_catalog(m, m)
+    catalog = _image_catalog(m)
     # the images in a tuple are linearly independent, so distinct terms stay
     # distinct and no evaluation of a nonzero side is zero
     evs_p = [monomial_substitute(p, img, m).to_laurent() for img in catalog]

@@ -407,6 +407,15 @@ class TestGcd:
         # gcd(2*x1 + 2, 2) is 2: the shared integer content is not a unit
         assert not coprime(mk(1, {(1,): 2, (0,): 2}), mk(1, {(0,): 2}))
 
+    def test_content_reads_only_the_exponents_present(self):
+        # the content in x1 reads the coefficients of the two exponents that
+        # occur, not one for every degree up to 10^7
+        p = mk(2, {(10**7, 0): 1, (0, 1): 1})
+        q = mk(2, {(0, 1): 1, (0, 0): 1})
+        start = time.perf_counter()
+        assert poly_gcd(p, q).to_text() == "1"
+        assert time.perf_counter() - start < 1
+
     def test_two_constants_give_their_integer_gcd(self):
         assert poly_gcd(mk(2, {(0, 0): 4}), mk(2, {(0, 0): -6})).to_text() == "2"
         assert not coprime(mk(2, {(0, 0): 4}), mk(2, {(0, 0): 6}))

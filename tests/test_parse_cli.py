@@ -524,6 +524,34 @@ class TestExitCodes:
         assert cli.main(argv) == 3
         assert capsys.readouterr().err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the error names the option, not a variable the input never names
+            (["check-irred", "3", "--vars", "-1"], "argument --vars: -1 is below 0"),
+            (["check-coprime", "x1", "x1 + 2", "--vars", "-3"], "argument --vars: -3 is below 0"),
+            (["check-irred", "3", "--vars", "1000"], "argument --vars: 1000 is more than 100"),
+            (["genericity", "--vars", "-1", "--degree", "2", "--trials", "1"],
+             "argument --vars: -1 is below 0"),
+            (["braid-alex", "--braid", "s1", "--strands", "-2"],
+             "argument --strands: -2 is below 0"),
+        ],
+    )
+    def test_negative_count_names_its_option(self, argv, message, capsys):
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.endswith(f"{message}\n")
+
+    def test_hull_of_a_huge_exponent_is_immediate(self, monkeypatch, capsys):
+        # the content of x1^N + x2 in x1 reads the coefficients of the two
+        # exponents present, not of every degree from 0 to N
+        data = {"vars": 2, "generators": [f"x1^{10**20} + x2", "x2 + 1"]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        start = time.perf_counter()
+        assert cli.main(["divisorial-hull", "--stdin"]) == 0
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().out == "hull: 1\n"
+
     def test_each_polynomial_is_tokenized_once(self, monkeypatch, capsys):
         calls = []
         tokenize = parse._tokenize

@@ -110,6 +110,25 @@ def test_content_gcd_stays_in_poly_gcd():
     assert found
 
 
+def test_unit_reattached_in_is_irreducible():
+    # is_irreducible divides a Laurent polynomial's monomial unit out and
+    # puts it back on the first factor of a refutation, so it alone calls
+    # mul_monomial; the strong-irreducibility search hands it whole
+    # substitutions rather than shifting factors itself
+    found = []
+    for path in sorted(Path(strongpoly.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            found += [
+                (path.name, getattr(top, "name", None))
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and "mul_monomial" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))
+            ]
+    assert sorted(set(found)) == [("factor.py", "is_irreducible")]
+
+
 def test_exit_codes_stay_in_main():
     # cli.main alone turns a verdict into its output and exit code: a handler
     # returns the Verdict itself, so only main reads the status table

@@ -343,6 +343,51 @@ class TestOptions:
         assert tiny.status in (REFUTED, UNDECIDED)
 
 
+class TestRefutationSearch:
+    def test_undecided_substitutions_are_noted(self):
+        # every substitution's Kronecker image is past the degree budget
+        p = parse_polynomial("(x1 + x2)^2")
+        v = check_strongly_irreducible(p, Budgets(max_kron_degree=1))
+        assert (v.status, v.reason) == (UNDECIDED, "criterion-failed-no-witness")
+        assert v.details["substitutions_tried"] == 18
+        assert v.details["search_resource"] == "resource-kronecker"
+
+    def test_budget_raised_by_a_substitution_is_noted(self):
+        # at k = 4 the degree 360 is past factor.MAX_UV_DEGREE
+        v = check_strongly_irreducible(parse_polynomial("x1^90 + x1 + 1"))
+        assert (v.status, v.reason) == (UNDECIDED, "univariate-criterion-inapplicable")
+        assert v.details["substitutions_tried"] == 6
+        assert v.details["search_resource"] == "factor-degree"
+
+    def test_box_is_truncated(self):
+        p = parse_polynomial("x1*x2*x3*x4*x5 - 2")
+        v = check_strongly_irreducible(p, Budgets(uniform_max=1))
+        assert v.status == UNDECIDED
+        assert v.details["substitutions_tried"] == strongcheck.MAX_BOX_CANDIDATES
+        assert v.details["box_truncated"] is True
+
+    @pytest.mark.parametrize(
+        "text, laurents, exponents, factors",
+        [
+            ("6*x1", (False, True), (1, 1, 1, 1), ["2*x1", "3"]),
+            ("x1^2*x3*(x1*x3 - 1)", (False, True), (2, 1, 2, 1),
+             ["x1^5*x3^3 + x1^4*x3^2", "x1*x3 - 1"]),
+            ("x4*(x2^2*x3^2 - 1)", (False, True), (1, 1, 1, 1),
+             ["x2*x3*x4 + x4", "x2*x3 - 1"]),
+            ("x1^-1*x2 - 4", (True,), (2, 2, 1, 1), ["-2*x1^-1 + x1^-2*x2", "2*x1 + x2"]),
+        ],
+    )
+    def test_witness_carries_the_unit_in_p_ring(self, text, laurents, exponents, factors):
+        # unused variables get exponent 1, and is_irreducible puts the
+        # monomial unit x^(u*t) back on the first factor
+        for laurent in laurents:
+            p = parse_polynomial(text, 4, laurent=laurent)
+            v = check_strongly_irreducible(p)
+            assert check_refutation_reassembles(p, v) == exponents
+            assert [f.to_text() for f in v.witness["factors"]] == factors
+            assert all(f.ring == p.ring for f in v.witness["factors"])
+
+
 class TestImageMemo:
     # sparse substitutions q(x^t): at the all-ones point those with the same
     # main-variable exponent share one univariate image.  Some are proved
